@@ -10,6 +10,7 @@
 #   ./ci.sh postmortem # only the flight-recorder capture/determinism/inertness stage
 #   ./ci.sh exemplars # only the tail-exemplar capture/determinism/inertness stage
 #   ./ci.sh history  # only the cross-PR trajectory-report stage
+#   ./ci.sh perfbench # only the repo benchmark's own vet + tests
 set -eu
 
 # Bench-smoke stage: rerun the short manifest suite and diff its
@@ -185,6 +186,14 @@ history_smoke() {
 	diff -u TRAJECTORY.md /tmp/trajectory_explicit.md
 }
 
+# Benchmark stage: perfbench/ is a Go module of its own, so the root
+# module's vet and tests never reach it. Vet it and run its tests (metric
+# names match BENCHMARK.json, the traced run's digest equals the untraced
+# one, seeds repeat, every metric is reported) against this checkout.
+perfbench_tests() {
+	(cd perfbench && go vet ./... && go test ./...)
+}
+
 if [ "${1:-}" = "bench" ]; then
 	bench_smoke
 	exit 0
@@ -209,6 +218,10 @@ if [ "${1:-}" = "history" ]; then
 	history_smoke
 	exit 0
 fi
+if [ "${1:-}" = "perfbench" ]; then
+	perfbench_tests
+	exit 0
+fi
 
 fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
@@ -219,13 +232,16 @@ fi
 
 # Fast-fail stage: the observability packages (stats counters, memory-system
 # attribution, manifest encoding, telemetry writers, health detector, live
-# server) gate everything downstream and their tests are quick — vet and
-# race-test them first so broken instrumentation fails in seconds, not after
-# the full sweep-driven suite.
+# server, flight recorder) and the hot-path packages every run crosses
+# (event engine, DRAM scheduler) gate everything downstream and their tests
+# are quick — vet and race-test them first so a broken layer fails in
+# seconds, not after the full sweep-driven suite.
 go vet ./internal/stats ./internal/mem ./internal/telemetry ./internal/manifest \
-	./internal/health ./internal/telemetry/live ./internal/telemetry/exemplar
+	./internal/health ./internal/telemetry/live ./internal/telemetry/exemplar \
+	./internal/flightrec ./internal/dram ./internal/sim
 go test -race ./internal/stats ./internal/mem ./internal/telemetry ./internal/manifest \
-	./internal/health ./internal/telemetry/live ./internal/telemetry/exemplar
+	./internal/health ./internal/telemetry/live ./internal/telemetry/exemplar \
+	./internal/flightrec ./internal/dram ./internal/sim
 
 go vet ./...
 go build ./...
@@ -235,4 +251,5 @@ live_smoke
 postmortem_smoke
 exemplars_smoke
 history_smoke
+perfbench_tests
 go test -race ./...

@@ -62,13 +62,13 @@ type DRAMConfig struct {
 const CPUFreqMHz = 3200
 
 // MemCyclesToCPU converts memory-bus cycles to CPU cycles for a device.
-func (d DRAMConfig) MemCyclesToCPU(mc uint64) uint64 {
+func (d *DRAMConfig) MemCyclesToCPU(mc uint64) uint64 {
 	return mc * CPUFreqMHz / d.BusMHz
 }
 
 // BurstCPUCycles returns the CPU cycles the data bus is occupied
 // transferring `bytes` on one channel (DDR: two beats per bus cycle).
-func (d DRAMConfig) BurstCPUCycles(bytes uint64) uint64 {
+func (d *DRAMConfig) BurstCPUCycles(bytes uint64) uint64 {
 	beats := (bytes*8 + d.BusWidthBits - 1) / d.BusWidthBits
 	memCycles := (beats + 1) / 2 // DDR
 	if memCycles == 0 {
@@ -78,7 +78,7 @@ func (d DRAMConfig) BurstCPUCycles(bytes uint64) uint64 {
 }
 
 // PeakBandwidthGBs returns the theoretical peak bandwidth in GB/s.
-func (d DRAMConfig) PeakBandwidthGBs() float64 {
+func (d *DRAMConfig) PeakBandwidthGBs() float64 {
 	bytesPerSec := float64(d.BusMHz) * 1e6 * 2 * float64(d.BusWidthBits) / 8 * float64(d.Channels)
 	return bytesPerSec / 1e9
 }

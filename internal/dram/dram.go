@@ -11,6 +11,8 @@
 package dram
 
 import (
+	"fmt"
+
 	"silcfm/internal/config"
 	"silcfm/internal/sim"
 )
@@ -102,11 +104,15 @@ type ChannelCounters struct {
 	WriteQueueWait uint64 // cycles writes/background reads waited in the write queue
 }
 
+// op is the payload of one queued request: what issue and completion need,
+// minus the bank and row, which live in the queue entry's key.
 type op struct {
-	req     Request
-	bank    int // global bank index within channel (rank*banks + bank)
-	row     uint64
+	done    func()
+	trace   func(queue, service uint64)
+	bytes   uint64 // Request.Bytes
+	meta    uint64 // Request.MetaBytes
 	arrival sim.Cycle
+	write   bool
 }
 
 type bankState struct {
@@ -115,52 +121,59 @@ type bankState struct {
 	readyAt sim.Cycle // earliest start of the next command on this bank
 }
 
-// opQueue is a FIFO of ops with a consumed-prefix head index. FR-FCFS only
-// ever removes from within the bounded scheduling window at the front, so
-// removal shifts the short live prefix [0, pick) right by one — O(window) —
-// instead of shifting the unbounded tail left, which dominated the
-// scheduler's cost on long write queues.
+// Queue keys pack an op's scheduling coordinates into 8 bytes: the row
+// above keyBankBits, the channel-local bank below. New rejects geometries
+// that do not fit.
+const (
+	keyBankBits = 16
+	keyBankMask = 1<<keyBankBits - 1
+)
+
+func opKey(bank int, row uint64) uint64 { return row<<keyBankBits | uint64(bank) }
+
+// opQueue is a FIFO of queued requests: each entry is a packed key and the
+// index of its op in the channel's slot pool, kept in two parallel slices
+// with a consumed-prefix head index. FR-FCFS scans only the keys, and only
+// within the bounded scheduling window at the front; removal from inside
+// that window shifts the short live prefix [0, pick) right by one, moving
+// 12 bytes per entry, while the ops themselves never move.
 type opQueue struct {
-	ops  []op
-	head int
+	keys  []uint64
+	slots []int32
+	head  int
 }
 
-// pushSlot appends a zeroed op and returns it for in-place fill, avoiding
-// a pass-by-value copy of the wide op struct.
-func (q *opQueue) pushSlot() *op {
-	q.ops = append(q.ops, op{})
-	return &q.ops[len(q.ops)-1]
-}
+func (q *opQueue) len() int { return len(q.keys) - q.head }
 
-func (q *opQueue) len() int     { return len(q.ops) - q.head }
-func (q *opQueue) at(i int) *op { return &q.ops[q.head+i] }
-
-// drop discards the op at live position i, preserving the FIFO order of the
-// remainder exactly. The caller must be done with any pointer obtained from
-// at(): the shift invalidates it.
+// drop discards the entry at live position i, preserving the FIFO order of
+// the remainder exactly. The caller releases the entry's op slot.
 func (q *opQueue) drop(i int) {
-	p := q.head + i
-	copy(q.ops[q.head+1:p+1], q.ops[q.head:p])
-	q.ops[q.head] = op{} // release Done/Trace references
+	h, p := q.head, q.head+i
+	copy(q.keys[h+1:p+1], q.keys[h:p])
+	copy(q.slots[h+1:p+1], q.slots[h:p])
 	q.head++
-	if q.head == len(q.ops) {
-		q.ops = q.ops[:0]
+	if q.head == len(q.keys) {
+		q.keys = q.keys[:0]
+		q.slots = q.slots[:0]
 		q.head = 0
 	} else if q.head >= 1024 {
 		// A queue that never fully drains would otherwise grow its dead
 		// prefix without bound; compact it occasionally.
-		n := copy(q.ops, q.ops[q.head:])
-		for j := n; j < len(q.ops); j++ {
-			q.ops[j] = op{}
-		}
-		q.ops = q.ops[:n]
+		n := copy(q.keys, q.keys[q.head:])
+		copy(q.slots, q.slots[q.head:])
+		q.keys = q.keys[:n]
+		q.slots = q.slots[:n]
 		q.head = 0
 	}
 }
 
 type channel struct {
-	readQ     opQueue
-	writeQ    opQueue
+	readQ  opQueue
+	writeQ opQueue
+	// ops is the slot pool holding the payload of every queued request of
+	// both queues; free lists its unused slots.
+	ops       []op
+	free      []int32
 	busFreeAt sim.Cycle
 	banks     []bankState
 	inflight  int
@@ -168,6 +181,22 @@ type channel struct {
 	// lastRefresh is the time of the most recently applied periodic
 	// refresh (lazy catch-up; see refreshCatchup).
 	lastRefresh sim.Cycle
+}
+
+// pushSlot appends a request for bank and row to the back of q and returns
+// its zeroed op for in-place fill.
+func (c *channel) pushSlot(q *opQueue, bank int, row uint64) *op {
+	var slot int32
+	if n := len(c.free); n > 0 {
+		slot = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		slot = int32(len(c.ops))
+		c.ops = append(c.ops, op{})
+	}
+	q.keys = append(q.keys, opKey(bank, row))
+	q.slots = append(q.slots, slot)
+	return &c.ops[slot]
 }
 
 // completion is the pooled completion event of one issued op — the state
@@ -256,7 +285,9 @@ type Device struct {
 	maxInflight int
 }
 
-// New builds a device on the given engine.
+// New builds a device on the given engine. It panics when the geometry does
+// not fit the 8-byte queue key: more than 1<<16 banks per channel, or a
+// capacity whose row index needs more than 48 bits.
 func New(cfg config.DRAMConfig, eng *sim.Engine) *Device {
 	d := &Device{
 		Cfg:          cfg,
@@ -274,6 +305,16 @@ func New(cfg config.DRAMConfig, eng *sim.Engine) *Device {
 		// Enough issued-but-incomplete ops to keep every bank busy while
 		// the bus streams; later arrivals still reorder within the window.
 		maxInflight: 2 * cfg.RanksPerChan * cfg.BanksPerRank,
+	}
+	if d.banksPerChan > keyBankMask+1 {
+		panic(fmt.Sprintf("dram: %d banks per channel exceed the %d-bit queue key field",
+			d.banksPerChan, keyBankBits))
+	}
+	if cfg.Capacity > 0 {
+		if _, _, row := d.mapAddr(cfg.Capacity - 1); row >= 1<<(64-keyBankBits) {
+			panic(fmt.Sprintf("dram: capacity %d needs row %d, beyond the %d-bit queue key field",
+				cfg.Capacity, row, 64-keyBankBits))
+		}
 	}
 	d.chans = make([]channel, cfg.Channels)
 	for i := range d.chans {
@@ -378,11 +419,13 @@ func (d *Device) Submit(r Request) {
 	if r.Write || r.Background {
 		q = &c.writeQ
 	}
-	s := q.pushSlot()
-	s.req = r
-	s.bank = bank
-	s.row = row
+	s := c.pushSlot(q, bank, row)
+	s.done = r.Done
+	s.trace = r.Trace
+	s.bytes = r.Bytes
+	s.meta = r.MetaBytes
 	s.arrival = d.eng.Now()
+	s.write = r.Write
 	d.bankQueued[ch*int(d.banksPerChan)+bank]++
 	d.queued++
 	if d.queued > d.peakQueued {
@@ -405,8 +448,7 @@ func (d *Device) kick(ch int) {
 
 // selectOp implements FR-FCFS with write draining over the bounded
 // scheduling windows. It returns the queue and live position of the chosen
-// op (nil when nothing is queued); the caller consumes the op in place and
-// drops it, so selection never copies the wide op struct.
+// entry (nil when nothing is queued). Selection reads only the packed keys.
 func (d *Device) selectOp(c *channel) (*opQueue, int) {
 	// Enter drain mode when the write queue saturates its window; drain a
 	// small batch so waiting reads are not starved. Reads otherwise have
@@ -435,16 +477,13 @@ func (d *Device) selectOp(c *channel) (*opQueue, int) {
 		window = limit
 	}
 	// First ready (row hit) within the window, else oldest.
-	pick := 0
-	for i := 0; i < window; i++ {
-		o := q.at(i)
-		b := &c.banks[o.bank]
-		if b.openRow >= 0 && uint64(b.openRow) == o.row {
-			pick = i
-			break
+	for i, k := range q.keys[q.head : q.head+window] {
+		b := &c.banks[k&keyBankMask]
+		if b.openRow >= 0 && uint64(b.openRow) == k>>keyBankBits {
+			return q, i
 		}
 	}
-	return q, pick
+	return q, 0
 }
 
 // refreshCatchup applies any periodic refreshes due since the channel was
@@ -478,12 +517,15 @@ func (d *Device) refreshCatchup(ch int, c *channel, now sim.Cycle) {
 	}
 }
 
-// issue computes the timing of the op at live position pick of q, reserves
-// bank and bus, schedules its completion, and drops the op from the queue.
+// issue computes the timing of the entry at live position pick of q,
+// reserves bank and bus, schedules its completion, drops the entry from the
+// queue and frees its op slot.
 func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
-	o := q.at(pick)
-	b := &c.banks[o.bank]
-	bc := &d.bankCtr[ch*int(d.banksPerChan)+o.bank]
+	key, slot := q.keys[q.head+pick], q.slots[q.head+pick]
+	bank, row := int(key&keyBankMask), key>>keyBankBits
+	o := &c.ops[slot]
+	b := &c.banks[bank]
+	bc := &d.bankCtr[ch*int(d.banksPerChan)+bank]
 	cc := &d.chanCtr[ch]
 	now := d.eng.Now()
 	d.refreshCatchup(ch, c, now)
@@ -496,7 +538,7 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 	// service time; tRAS/bus/refresh waits count as queueing instead.
 	var rowPenalty sim.Cycle
 	switch {
-	case b.openRow >= 0 && uint64(b.openRow) == o.row:
+	case b.openRow >= 0 && uint64(b.openRow) == row:
 		// Row hit: column command only.
 		d.stats.RowHits++
 		bc.RowHits++
@@ -510,7 +552,7 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 		rowPenalty = d.tRCD
 		colAt = start + d.tRCD
 		b.actAt = start
-		b.openRow = int64(o.row)
+		b.openRow = int64(row)
 	default:
 		// Conflict: precharge (respecting tRAS), activate, column.
 		d.stats.RowMisses++
@@ -525,12 +567,12 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 		actAt := preAt + d.tRP
 		colAt = actAt + d.tRCD
 		b.actAt = actAt
-		b.openRow = int64(o.row)
+		b.openRow = int64(row)
 	}
 
-	burst := d.Cfg.BurstCPUCycles(o.req.Bytes + o.req.MetaBytes)
+	burst := d.Cfg.BurstCPUCycles(o.bytes + o.meta)
 	var dataAt sim.Cycle
-	if o.req.Write {
+	if o.write {
 		// Write data moves over the bus at the column command.
 		dataAt = colAt
 		if dataAt < c.busFreeAt {
@@ -568,22 +610,22 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 	}
 
 	done := dataAt + burst
-	bits := float64((o.req.Bytes + o.req.MetaBytes) * 8)
-	d.stats.BytesMeta += o.req.MetaBytes
-	if o.req.Write {
+	bits := float64((o.bytes + o.meta) * 8)
+	d.stats.BytesMeta += o.meta
+	if o.write {
 		d.stats.Writes++
-		d.stats.BytesWritten += o.req.Bytes
+		d.stats.BytesWritten += o.bytes
 		d.stats.DynamicEnergyPJ += bits * d.Cfg.WriteEnergyPJPerBit
 	} else {
 		d.stats.Reads++
-		d.stats.BytesRead += o.req.Bytes
+		d.stats.BytesRead += o.bytes
 		d.stats.DynamicEnergyPJ += bits * d.Cfg.ReadEnergyPJPerBit
 	}
 
 	// Minimal service time for the observed row outcome; reads add the CAS
 	// latency, writes move data at the column command.
 	service := rowPenalty + burst
-	if !o.req.Write {
+	if !o.write {
 		service += d.tCAS
 	}
 
@@ -599,11 +641,12 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 	comp.done = done
 	comp.arrival = o.arrival
 	comp.service = service
-	comp.isRead = !o.req.Write
-	comp.cb = o.req.Done
-	comp.tr = o.req.Trace
-	bank := o.bank
-	q.drop(pick) // o is dead past this point
+	comp.isRead = !o.write
+	comp.cb = o.done
+	comp.tr = o.trace
+	*o = op{} // release Done/Trace references
+	c.free = append(c.free, slot)
+	q.drop(pick)
 	d.bankQueued[ch*int(d.banksPerChan)+bank]--
 	d.queued--
 	d.eng.At(done, comp.fireFn)
@@ -616,9 +659,10 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 func (d *Device) PendingBytes() uint64 {
 	var n uint64
 	for i := range d.chans {
-		for _, q := range []*opQueue{&d.chans[i].readQ, &d.chans[i].writeQ} {
-			for _, o := range q.ops[q.head:] {
-				n += o.req.Bytes + o.req.MetaBytes
+		c := &d.chans[i]
+		for _, q := range []*opQueue{&c.readQ, &c.writeQ} {
+			for _, slot := range q.slots[q.head:] {
+				n += c.ops[slot].bytes + c.ops[slot].meta
 			}
 		}
 	}

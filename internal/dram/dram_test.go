@@ -639,11 +639,7 @@ func TestMapAddrPartitionProperty(t *testing.T) {
 func TestSelectOpFRFCFS(t *testing.T) {
 	_, d := newFM(t)
 	c := &d.chans[0]
-	push := func(bank int, row uint64) {
-		s := c.readQ.pushSlot()
-		s.bank = bank
-		s.row = row
-	}
+	push := func(bank int, row uint64) { c.pushSlot(&c.readQ, bank, row) }
 
 	// Bank 0 holds row 5 open; the oldest op wants row 7 (conflict), a
 	// younger in-window op wants the open row 5: FR-FCFS picks the hit.
@@ -662,8 +658,9 @@ func TestSelectOpFRFCFS(t *testing.T) {
 
 	// A row hit parked beyond the scheduling window must not be selected.
 	c.banks[0].openRow = 5
-	c.readQ.ops = c.readQ.ops[:0]
-	c.readQ.head = 0
+	for c.readQ.len() > 0 {
+		c.readQ.drop(0)
+	}
 	for i := 0; i < d.Cfg.ReadQueueLen; i++ {
 		push(0, 7) // in-window: all conflicts
 	}

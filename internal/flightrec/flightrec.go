@@ -48,10 +48,17 @@ const (
 	// bound; later epochs are counted as dropped.
 	DefaultMaxCaptureEpochs = 256
 
-	// offenderTableSlots is the per-epoch offender hash table capacity.
-	// First-come-keeps-slot with linear probing: the profiled set is a
-	// deterministic function of the access stream, overflow is counted.
-	offenderTableSlots = 1024
+	// offenderTableSlots is the per-epoch offender table's open-addressing
+	// size, and offenderTableCap how many distinct blocks it keys: the
+	// first offenderTableCap blocks of the epoch, in completion order, so
+	// the profiled set is a deterministic function of the access stream.
+	// Demands to later blocks are counted as dropped. Admitting only half
+	// the slots keeps the load at or below 0.5, so a linear probe stays
+	// short even once the table is full, and a refused block is found
+	// absent within a few slots rather than by a scan of the whole table.
+	offenderTableBits  = 11
+	offenderTableSlots = 1 << offenderTableBits
+	offenderTableCap   = offenderTableSlots / 2
 )
 
 // Config tunes the recorder's windows and bounds. The zero value means
@@ -101,8 +108,8 @@ func (c Config) withDefaults() Config {
 	if c.TopK <= 0 {
 		c.TopK = DefaultTopK
 	}
-	if c.TopK > offenderTableSlots {
-		c.TopK = offenderTableSlots
+	if c.TopK > offenderTableCap {
+		c.TopK = offenderTableCap
 	}
 	if c.MaxBundles <= 0 {
 		c.MaxBundles = DefaultMaxBundles
@@ -334,11 +341,12 @@ func (r *Recorder) push(ev event) {
 
 // bump charges one demand completion to flat block b in the per-epoch
 // offender table: open addressing, linear probe, first-come-keeps-slot.
+// A block not yet keyed once offenderTableCap blocks are held is dropped.
 func (r *Recorder) bump(b, lat uint64) {
 	key := b + 1
 	// Fibonacci hash of the block index into the fixed table.
-	i := int((b * 0x9e3779b97f4a7c15) >> 54 % offenderTableSlots)
-	for probes := 0; probes < offenderTableSlots; probes++ {
+	i := int((b * 0x9e3779b97f4a7c15) >> (64 - offenderTableBits))
+	for { // ends: at most half the slots are keyed, so an empty one exists
 		s := &r.offTable[i]
 		if s.key == key {
 			s.demands++
@@ -346,18 +354,18 @@ func (r *Recorder) bump(b, lat uint64) {
 			return
 		}
 		if s.key == 0 {
+			if r.offUsed == offenderTableCap {
+				r.offDropped++
+				return
+			}
 			s.key = key
 			s.demands = 1
 			s.lat = lat
 			r.offUsed++
 			return
 		}
-		i++
-		if i == offenderTableSlots {
-			i = 0
-		}
+		i = (i + 1) & (offenderTableSlots - 1)
 	}
-	r.offDropped++
 }
 
 // Observe feeds one telemetry epoch boundary: the sample (with gauges), the
@@ -464,7 +472,9 @@ func (r *Recorder) fillSlot(slot *epochSlot, st telemetry.EpochState, hs health.
 	r.offDropped = 0
 }
 
-// rankOffender insertion-sorts o into slot's fixed top-K array.
+// rankOffender insertion-sorts o into slot's fixed top-K array. Blocks are
+// distinct, so (demands desc, block asc) is a strict order and the top-K
+// does not depend on the order fillSlot visits table slots in.
 func (r *Recorder) rankOffender(slot *epochSlot, o Offender) {
 	worse := func(a, b Offender) bool { // is a ranked below b?
 		if a.Demands != b.Demands {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -193,5 +195,117 @@ func TestSteadyStateSchedulingAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("steady-state wheel scheduling allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// runBoth runs prog on the production Engine and on the reference
+// scheduler and requires identical dispatch order and times. prog
+// schedules its roots on s and returns nothing; every event records its
+// label and dispatch cycle.
+func runBoth(t *testing.T, name string, prog func(s sched, rec func(label string) func())) {
+	t.Helper()
+	run := func(s sched) []string {
+		var order []string
+		rec := func(label string) func() {
+			return func() { order = append(order, fmt.Sprintf("%s@%d", label, s.Now())) }
+		}
+		prog(s, rec)
+		for s.Step() {
+		}
+		return order
+	}
+	got, want := run(NewEngine()), run(&refSched{})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: engine order\n%v\nreference order\n%v", name, got, want)
+	}
+	if len(got) == 0 {
+		t.Fatalf("%s: program dispatched nothing", name)
+	}
+}
+
+// TestEngineWordBoundaries places events on both sides of every 64-bucket
+// occupancy word boundary and of the wheel's wrap-around, from clocks that
+// put the wheel window at different rotations, including lone events whose
+// only neighbours are several empty words away.
+func TestEngineWordBoundaries(t *testing.T) {
+	for _, base := range []Cycle{0, 1, 63, 64, 65, 511, wheelSize - 1, wheelSize, wheelSize + 37, 5*wheelSize - 64} {
+		runBoth(t, fmt.Sprintf("boundaries from %d", base), func(s sched, rec func(string) func()) {
+			s.At(base, func() {
+				rec("base")()
+				for w := Cycle(0); w <= wheelSize; w += 64 {
+					for _, d := range []Cycle{w - 1, w, w + 1} {
+						if d > w+1 || d == 0 {
+							continue
+						}
+						s.At(base+d, rec(fmt.Sprintf("d%d", d)))
+					}
+				}
+			})
+		})
+		runBoth(t, fmt.Sprintf("sparse from %d", base), func(s sched, rec func(string) func()) {
+			s.At(base, func() {
+				rec("base")()
+				// One event per word, far apart; each re-arms one bucket
+				// before the wrap so the scan must cross empty words.
+				for _, d := range []Cycle{63, 64 * 5, wheelSize - 64, wheelSize - 1} {
+					d := d
+					s.At(base+d, func() {
+						rec(fmt.Sprintf("s%d", d))()
+						s.At(s.Now()+wheelSize-1, rec(fmt.Sprintf("wrap%d", d)))
+					})
+				}
+			})
+		})
+	}
+}
+
+// TestEngineWheelFarTies pins same-cycle ties between far-heap and wheel
+// events: far events were scheduled first, so at equal cycles they
+// dispatch before wheel events, in seq order within each source.
+func TestEngineWheelFarTies(t *testing.T) {
+	for _, target := range []Cycle{wheelSize, wheelSize + 63, wheelSize + 64, 3*wheelSize - 1} {
+		runBoth(t, fmt.Sprintf("ties at %d", target), func(s sched, rec func(string) func()) {
+			s.At(target, rec("far1"))
+			s.At(target+1, rec("far-next"))
+			s.At(target, rec("far2"))
+			// Once target is within the wheel horizon, more events at
+			// target land in the wheel with later seqs.
+			s.At(target-wheelSize+1, func() {
+				rec("arm")()
+				s.At(target, rec("wheel1"))
+				s.At(target-1, rec("wheel-before"))
+				s.At(target, rec("wheel2"))
+			})
+			s.At(target-1, func() {
+				rec("pre")()
+				s.At(target, rec("wheel3"))
+			})
+		})
+	}
+}
+
+// TestEngineRunUntilAcrossGaps drives RunUntil limits that fall inside an
+// empty stretch of the wheel, then schedules into the skipped region: the
+// occupancy scan must restart from the advanced clock.
+func TestEngineRunUntilAcrossGaps(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	rec := func(label string) func() {
+		return func() { order = append(order, fmt.Sprintf("%s@%d", label, e.Now())) }
+	}
+	e.At(10, rec("a"))
+	e.At(700, rec("b"))
+	e.At(5000, rec("far"))
+	e.RunUntil(600)
+	if e.Now() != 600 {
+		t.Fatalf("RunUntil(600) left clock at %d", e.Now())
+	}
+	e.At(650, rec("c"))
+	e.At(600+wheelSize-1, rec("d"))
+	e.RunUntil(5000)
+	e.Run()
+	want := []string{"a@10", "c@650", "b@700", "d@1623", "far@5000"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
 	}
 }

@@ -13,10 +13,14 @@
 // container/heap interface boxing, and the bucket storage is reused across
 // wheel revolutions, so steady-state scheduling allocates nothing. Rare
 // far-future events (telemetry epoch pumps, refresh horizons) go to a
-// hand-rolled min-heap. Dispatch merges the two sources by exact
+// hand-rolled min-heap. An occupancy bitmap (one bit per bucket) lets
+// dispatch jump straight to the next nonempty bucket instead of testing
+// empty ones one by one. Dispatch merges the two sources by exact
 // (when, seq) order, so the hybrid is observably identical — event for
 // event — to a single priority queue.
 package sim
+
+import "math/bits"
 
 // Cycle is a point in simulated time, measured in CPU clock cycles.
 type Cycle = uint64
@@ -53,11 +57,14 @@ type Engine struct {
 	heads      []int
 	wheelCount int
 
+	// occ has bit b%64 of word b/64 set exactly while bucket b holds
+	// undispatched events: set on append, cleared when the bucket drains.
+	occ [wheelSize / 64]uint64
+
 	// scanMin is a lower bound on the earliest occupied wheel cycle: every
 	// bucket for a cycle < scanMin is known empty. Dispatch resumes its
-	// bucket scan here instead of rescanning from now each call (the scan
-	// is the dispatch hot loop when events are sparse); At lowers it when
-	// an insert lands earlier.
+	// occupancy scan here instead of rescanning from now each call; At
+	// lowers it when an insert lands earlier.
 	scanMin Cycle
 
 	// far is a hand-rolled min-heap ordered by (when, seq) for events at
@@ -93,6 +100,7 @@ func (e *Engine) At(when Cycle, fn func()) {
 		}
 		b := int(when & wheelMask)
 		e.buckets[b] = append(e.buckets[b], event{when: when, seq: e.seq, fn: fn})
+		e.occ[b>>6] |= 1 << (b & 63)
 		e.wheelCount++
 		if when < e.scanMin {
 			e.scanMin = when
@@ -122,39 +130,35 @@ func (e *Engine) dispatchUpTo(limit Cycle) bool {
 	}
 
 	if e.wheelCount > 0 {
-		// Scan buckets upward from now (or from scanMin, which skips the
-		// prefix already proven empty). Every event in bucket t&wheelMask
-		// has when == t exactly (the wheel only holds [now, now+wheelSize)),
-		// so the first nonempty bucket is the earliest wheel event, already
-		// in seq order.
+		// Every event in bucket t&wheelMask has when == t exactly (the
+		// wheel only holds [now, now+wheelSize)), so the first occupied
+		// bucket at or after max(now, scanMin) is the earliest wheel event,
+		// already in seq order.
 		t := e.now
 		if e.scanMin > t {
 			t = e.scanMin
 		}
-		for ; t-e.now < wheelSize; t++ {
-			if farOK && farWhen < t {
-				// A far event is due strictly before the next wheel event.
-				e.scanMin = t
-				break
-			}
-			b := int(t & wheelMask)
-			if e.heads[b] >= len(e.buckets[b]) {
-				continue
-			}
-			e.scanMin = t
-			if t > limit {
-				return false
-			}
-			if farOK && farWhen == t && e.far[0].seq < e.buckets[b][e.heads[b]].seq {
-				// Same-cycle tie: the far event was scheduled first.
-				break
-			}
-			ev := e.buckets[b][e.heads[b]]
-			e.buckets[b][e.heads[b]] = event{} // release the fn reference
-			e.heads[b]++
-			if e.heads[b] == len(e.buckets[b]) {
-				e.buckets[b] = e.buckets[b][:0]
+		t = e.nextOccupied(t)
+		e.scanMin = t
+		b := int(t & wheelMask)
+		bucket := e.buckets[b]
+		switch {
+		case farOK && farWhen < t:
+			// A far event is due strictly before the next wheel event.
+		case t > limit:
+			return false
+		case farOK && farWhen == t && e.far[0].seq < bucket[e.heads[b]].seq:
+			// Same-cycle tie: the far event was scheduled first.
+		default:
+			h := e.heads[b]
+			ev := bucket[h]
+			bucket[h] = event{} // release the fn reference
+			if h+1 == len(bucket) {
+				e.buckets[b] = bucket[:0]
 				e.heads[b] = 0
+				e.occ[b>>6] &^= 1 << (b & 63)
+			} else {
+				e.heads[b] = h + 1
 			}
 			e.wheelCount--
 			e.now = ev.when
@@ -169,6 +173,20 @@ func (e *Engine) dispatchUpTo(limit Cycle) bool {
 	e.now = ev.when
 	ev.fn()
 	return true
+}
+
+// nextOccupied returns the cycle of the earliest occupied wheel bucket at
+// or after t. The caller guarantees the wheel is nonempty and that every
+// bucket for a cycle in [now, t) is empty, so the walk over the occupancy
+// words ends within one revolution, at a cycle below now+wheelSize.
+func (e *Engine) nextOccupied(t Cycle) Cycle {
+	for {
+		b := int(t & wheelMask)
+		if w := e.occ[b>>6] >> (b & 63); w != 0 {
+			return t + Cycle(bits.TrailingZeros64(w))
+		}
+		t += Cycle(64 - b&63)
+	}
 }
 
 // Run dispatches events until none remain.
