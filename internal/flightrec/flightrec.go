@@ -19,7 +19,6 @@ import (
 	"silcfm/internal/health"
 	"silcfm/internal/mem"
 	"silcfm/internal/memunits"
-	"silcfm/internal/sim"
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry"
 	"silcfm/internal/telemetry/exemplar"
@@ -170,20 +169,18 @@ type epochSlot struct {
 	offDropped uint64 // table-overflow demands not attributed to a block
 }
 
-// Recorder is one run's flight recorder. It implements mem.Observer,
-// mem.SchemeObserver and mem.DemandObserver for the event feed, and is fed
-// epoch state + health status by the harness's OnEpoch chain (Observe).
+// Recorder is one run's flight recorder. It implements mem.Observer for
+// the event feed, and is fed epoch state + health status by the harness's
+// OnEpoch chain (ObserveEpoch).
 // Not safe for concurrent use: everything runs on the simulation goroutine.
 type Recorder struct {
 	cfg Config
-	eng *sim.Engine
 
 	// fingerprint/run identify the capture source, stamped into bundles.
 	fingerprint string
 	run         string
 
-	kinds   []string // health.Kinds(), index-aligned with slot rule traces
-	kindIdx map[string]int
+	kinds []string // health.Kinds(), index-aligned with slot rule traces
 
 	// Epoch history ring: last HistoryEpochs epochs, oldest at (head) when
 	// full. head is the next write position; n <= HistoryEpochs.
@@ -225,25 +222,20 @@ type capture struct {
 	exemplars  []exemplar.Exemplar // tail reservoirs frozen at open
 }
 
-// New builds a recorder over sys with cfg's bounds (zero fields take the
-// documented defaults). fingerprint is the run's config fingerprint
+// New builds a recorder with cfg's bounds (zero fields take the documented
+// defaults). fingerprint is the run's config fingerprint
 // (harness.Spec.Fingerprint) and run its "<scheme>/<workload>" label; both
 // are stamped into every bundle. Returns nil when cfg.Disabled is set; all
 // Recorder methods are nil-safe.
-func New(cfg Config, sys *mem.System, fingerprint, run string) *Recorder {
+func New(cfg Config, fingerprint, run string) *Recorder {
 	if cfg.Disabled {
 		return nil
 	}
 	r := &Recorder{
 		cfg:         cfg.withDefaults(),
-		eng:         sys.Eng,
 		fingerprint: fingerprint,
 		run:         run,
 		kinds:       health.Kinds(),
-	}
-	r.kindIdx = make(map[string]int, len(r.kinds))
-	for i, k := range r.kinds {
-		r.kindIdx[k] = i
 	}
 	r.ring = make([]epochSlot, r.cfg.HistoryEpochs)
 	for i := range r.ring {
@@ -255,66 +247,34 @@ func New(cfg Config, sys *mem.System, fingerprint, run string) *Recorder {
 	return r
 }
 
-// --- mem.Observer -----------------------------------------------------
-
-// Demand/Capture/Deliver/Relocate are part of the raw dataflow stream; the
-// recorder keys its event record off the semantic SchemeObserver/
-// DemandObserver events instead, so these are no-ops (implementing the
-// base interface is what lets the recorder join the fanout).
-func (r *Recorder) Demand(pa uint64, loc mem.Location, write bool) {}
-func (r *Recorder) Capture(loc mem.Location)                       {}
-func (r *Recorder) Deliver(src, dst mem.Location)                  {}
-func (r *Recorder) Relocate(src, dst mem.Location)                 {}
-
-// --- mem.SchemeObserver -----------------------------------------------
-
-// Swap records an initiated exchange between two device locations.
-func (r *Recorder) Swap(a, b mem.Location) {
+// Observe implements mem.Observer. Swaps and lock transitions go to the
+// event ring; every demand completion feeds the per-epoch offender table,
+// and bypass and mispredict completions — the paths that mark scheme
+// decisions going wrong — also go to the event ring.
+func (r *Recorder) Observe(e mem.Event) {
 	if r == nil {
 		return
 	}
-	r.push(event{
-		cycle: r.eng.Now(), kind: evSwap,
-		src: a.DevAddr, srcLevel: int8(a.Level),
-		dst: b.DevAddr, dstLevel: int8(b.Level),
-	})
-}
-
-// Lock records an NM frame locking flat block index block.
-func (r *Recorder) Lock(frame, block uint64, home bool) {
-	if r == nil {
-		return
-	}
-	r.push(event{cycle: r.eng.Now(), kind: evLock, src: frame, dst: block,
-		srcLevel: -1, dstLevel: -1, home: home})
-}
-
-// Unlock records an NM frame releasing flat block index block.
-func (r *Recorder) Unlock(frame, block uint64) {
-	if r == nil {
-		return
-	}
-	r.push(event{cycle: r.eng.Now(), kind: evUnlock, src: frame, dst: block,
-		srcLevel: -1, dstLevel: -1})
-}
-
-// --- mem.DemandObserver -----------------------------------------------
-
-// DemandComplete feeds the per-epoch offender table (every completion) and
-// the event ring (bypass and mispredict completions — the paths that mark
-// scheme decisions going wrong).
-func (r *Recorder) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint64) {
-	if r == nil {
-		return
-	}
-	r.bump(uint64(memunits.BlockOf(a.PAddr)), lat)
-	switch path {
-	case stats.PathBypass:
-		r.push(event{cycle: r.eng.Now(), kind: evBypass,
-			src: uint64(memunits.BlockOf(a.PAddr)), srcLevel: -1, dstLevel: -1, dst: lat})
-	case stats.PathMispredict:
-		r.push(event{cycle: r.eng.Now(), kind: evMispredict,
-			src: uint64(memunits.BlockOf(a.PAddr)), srcLevel: -1, dstLevel: -1, dst: lat})
+	switch e.Kind {
+	case mem.EvSwap:
+		r.push(event{cycle: e.Cycle, kind: evSwap,
+			src: e.Src.DevAddr, srcLevel: int8(e.Src.Level),
+			dst: e.Dst.DevAddr, dstLevel: int8(e.Dst.Level)})
+	case mem.EvLock:
+		r.push(event{cycle: e.Cycle, kind: evLock, src: e.Frame, dst: e.Block,
+			srcLevel: -1, dstLevel: -1, home: e.Home})
+	case mem.EvUnlock:
+		r.push(event{cycle: e.Cycle, kind: evUnlock, src: e.Frame, dst: e.Block,
+			srcLevel: -1, dstLevel: -1})
+	case mem.EvComplete:
+		b := uint64(memunits.BlockOf(e.Access.PAddr))
+		r.bump(b, e.Lat)
+		switch e.Path {
+		case stats.PathBypass:
+			r.push(event{cycle: e.Cycle, kind: evBypass, src: b, srcLevel: -1, dstLevel: -1, dst: e.Lat})
+		case stats.PathMispredict:
+			r.push(event{cycle: e.Cycle, kind: evMispredict, src: b, srcLevel: -1, dstLevel: -1, dst: e.Lat})
+		}
 	}
 }
 
@@ -368,10 +328,11 @@ func (r *Recorder) bump(b, lat uint64) {
 	}
 }
 
-// Observe feeds one telemetry epoch boundary: the sample (with gauges), the
-// live cumulative attribution, and the health status for the same boundary.
-// Called by the harness's OnEpoch chain after the detector has stepped.
-func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
+// ObserveEpoch feeds one telemetry epoch boundary: the sample (with
+// gauges), the live cumulative attribution, and the health status for the
+// same boundary. Called by the harness's OnEpoch chain after the detector
+// has stepped.
+func (r *Recorder) ObserveEpoch(st telemetry.EpochState, hs health.Status) {
 	if r == nil || st.Sample == nil {
 		return
 	}
@@ -449,7 +410,7 @@ func (r *Recorder) fillSlot(slot *epochSlot, st telemetry.EpochState, hs health.
 		slot.ruleSev[i] = 0
 	}
 	for i := range hs.Open {
-		if k, ok := r.kindIdx[hs.Open[i].Kind]; ok {
+		if k, ok := health.KindIndex(hs.Open[i].Kind); ok {
 			slot.ruleOpen[k] = true
 			slot.ruleSev[k] = hs.Open[i].PeakSeverity
 		}
@@ -565,14 +526,6 @@ func (r *Recorder) openCapture(epoch uint64, hs health.Status) {
 		}
 		c.events = append(c.events, jsonEvent(ev))
 	}
-	// Events that fell off the ring before the capture opened are part of
-	// the window but unrecoverable; account for them.
-	if r.evTotal > uint64(r.evN) && r.n == len(r.ring) {
-		// Unknown how many of the overwritten events fall inside the
-		// window; the excerpt is best-effort by construction. Only the
-		// explicit skips above are counted.
-		_ = firstCycle
-	}
 	r.cap = c
 }
 
@@ -623,7 +576,7 @@ func (r *Recorder) finalize(forced bool) {
 // that fired anywhere in the window.
 func (r *Recorder) ruleTraces(epochs []EpochRecord) []RuleTrace {
 	var out []RuleTrace
-	for i, kind := range r.kinds {
+	for _, kind := range r.kinds {
 		tr := RuleTrace{Kind: kind}
 		for e := range epochs {
 			for _, rs := range epochs[e].Rules {
@@ -643,7 +596,6 @@ func (r *Recorder) ruleTraces(epochs []EpochRecord) []RuleTrace {
 		if tr.OpenEpochs == 0 {
 			continue
 		}
-		_ = i
 		out = append(out, tr)
 	}
 	return out

@@ -10,20 +10,37 @@ import (
 	"silcfm/internal/harness"
 	"silcfm/internal/health"
 	"silcfm/internal/mem"
-	"silcfm/internal/sim"
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry"
 )
 
-// newRec builds a recorder over a bare system (engine only — the synthetic
-// tests feed Observe/DemandComplete directly, no simulation runs).
+// newRec builds a recorder for the synthetic tests, which feed events and
+// epochs directly; no simulation runs.
 func newRec(t *testing.T, cfg flightrec.Config) *flightrec.Recorder {
 	t.Helper()
-	r := flightrec.New(cfg, &mem.System{Eng: sim.NewEngine()}, "test-fp", "test/run")
+	r := flightrec.New(cfg, "test-fp", "test/run")
 	if r == nil {
 		t.Fatal("New returned nil for an enabled config")
 	}
 	return r
+}
+
+// swap, lock, unlock and complete feed r the mem.Events a System would
+// emit, at cycle 0 (the synthetic tests never advance an engine).
+func swap(r *flightrec.Recorder, a, b mem.Location) {
+	r.Observe(mem.Event{Kind: mem.EvSwap, Src: a, Dst: b})
+}
+
+func lock(r *flightrec.Recorder, frame, block uint64, home bool) {
+	r.Observe(mem.Event{Kind: mem.EvLock, Frame: frame, Block: block, Home: home})
+}
+
+func unlock(r *flightrec.Recorder, frame, block uint64) {
+	r.Observe(mem.Event{Kind: mem.EvUnlock, Frame: frame, Block: block})
+}
+
+func complete(r *flightrec.Recorder, a *mem.Access, path stats.DemandPath, lat uint64) {
+	r.Observe(mem.Event{Kind: mem.EvComplete, Access: a, Path: path, Lat: lat})
 }
 
 // epochState synthesizes one epoch boundary. Epoch e spans cycles
@@ -49,14 +66,14 @@ func incident(kind string, e uint64) health.Incident {
 // feed observes epochs [from, to) with no incident activity.
 func feed(r *flightrec.Recorder, from, to uint64) {
 	for e := from; e < to; e++ {
-		r.Observe(epochState(e), health.Status{})
+		r.ObserveEpoch(epochState(e), health.Status{})
 	}
 }
 
 // trigger opens kind at epoch e (the incident appears in Opened and Open).
 func trigger(r *flightrec.Recorder, kind string, e uint64) {
 	in := incident(kind, e)
-	r.Observe(epochState(e), health.Status{
+	r.ObserveEpoch(epochState(e), health.Status{
 		Open:   []health.Incident{in},
 		Opened: []health.Incident{in},
 	})
@@ -64,11 +81,11 @@ func trigger(r *flightrec.Recorder, kind string, e uint64) {
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *flightrec.Recorder
-	r.Swap(mem.Location{}, mem.Location{})
-	r.Lock(1, 2, true)
-	r.Unlock(1, 2)
-	r.DemandComplete(&mem.Access{}, stats.PathBypass, 10)
-	r.Observe(epochState(0), health.Status{})
+	swap(r, mem.Location{}, mem.Location{})
+	lock(r, 1, 2, true)
+	unlock(r, 1, 2)
+	complete(r, &mem.Access{}, stats.PathBypass, 10)
+	r.ObserveEpoch(epochState(0), health.Status{})
 	if b := r.Finish(); b != nil {
 		t.Errorf("nil recorder Finish = %v, want nil", b)
 	}
@@ -81,7 +98,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 }
 
 func TestDisabledConfigReturnsNil(t *testing.T) {
-	r := flightrec.New(flightrec.Config{Disabled: true}, &mem.System{Eng: sim.NewEngine()}, "fp", "run")
+	r := flightrec.New(flightrec.Config{Disabled: true}, "fp", "run")
 	if r != nil {
 		t.Fatal("New with Disabled returned a live recorder")
 	}
@@ -96,11 +113,11 @@ func TestCaptureLifecycle(t *testing.T) {
 	trigger(r, health.KindSwapThrash, 5)
 	// Open through epoch 6, closed at 7, quiet 7 and 8 -> finalize at 8.
 	open := incident(health.KindSwapThrash, 5)
-	r.Observe(epochState(6), health.Status{Open: []health.Incident{open}})
+	r.ObserveEpoch(epochState(6), health.Status{Open: []health.Incident{open}})
 	closed := open
 	closed.LastEpoch = 7
-	r.Observe(epochState(7), health.Status{Closed: []health.Incident{closed}})
-	r.Observe(epochState(8), health.Status{})
+	r.ObserveEpoch(epochState(7), health.Status{Closed: []health.Incident{closed}})
+	r.ObserveEpoch(epochState(8), health.Status{})
 
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
@@ -144,7 +161,7 @@ func TestRingCapacityOne(t *testing.T) {
 	r := newRec(t, flightrec.Config{HistoryEpochs: 1, TailEpochs: 1})
 	feed(r, 0, 5)
 	trigger(r, health.KindLockChurn, 5)
-	r.Observe(epochState(6), health.Status{})
+	r.ObserveEpoch(epochState(6), health.Status{})
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
@@ -164,7 +181,7 @@ func TestPreWindowShorterThanHistory(t *testing.T) {
 	r := newRec(t, flightrec.Config{HistoryEpochs: 16, TailEpochs: 1})
 	feed(r, 0, 2)
 	trigger(r, health.KindQueueSaturation, 2)
-	r.Observe(epochState(3), health.Status{})
+	r.ObserveEpoch(epochState(3), health.Status{})
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
@@ -187,7 +204,7 @@ func TestRingExactWrap(t *testing.T) {
 	r := newRec(t, flightrec.Config{HistoryEpochs: 4, TailEpochs: 1})
 	feed(r, 0, 8) // two full revolutions; head back at slot 0
 	trigger(r, health.KindSwapThrash, 8)
-	r.Observe(epochState(9), health.Status{})
+	r.ObserveEpoch(epochState(9), health.Status{})
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
@@ -218,7 +235,7 @@ func TestForcedFlushAtFinish(t *testing.T) {
 	feed(r, 0, 3)
 	trigger(r, health.KindSwapThrash, 3)
 	open := []health.Incident{incident(health.KindSwapThrash, 3), incident(health.KindQueueSaturation, 4)}
-	r.Observe(epochState(4), health.Status{Open: open, Opened: open[1:]})
+	r.ObserveEpoch(epochState(4), health.Status{Open: open, Opened: open[1:]})
 	out := r.Finish()
 	if len(out) != 1 {
 		t.Fatalf("Finish returned %d bundles, want 1 forced", len(out))
@@ -238,9 +255,9 @@ func TestForcedFlushAtFinish(t *testing.T) {
 func TestMaxBundlesDropsLaterCaptures(t *testing.T) {
 	r := newRec(t, flightrec.Config{HistoryEpochs: 2, TailEpochs: 1, MaxBundles: 1})
 	trigger(r, health.KindSwapThrash, 0)
-	r.Observe(epochState(1), health.Status{}) // tail -> bundle 0
-	trigger(r, health.KindSwapThrash, 2)      // refused: cap reached
-	r.Observe(epochState(3), health.Status{})
+	r.ObserveEpoch(epochState(1), health.Status{}) // tail -> bundle 0
+	trigger(r, health.KindSwapThrash, 2)           // refused: cap reached
+	r.ObserveEpoch(epochState(3), health.Status{})
 	if n := len(r.Bundles()); n != 1 {
 		t.Errorf("got %d bundles, want 1", n)
 	}
@@ -255,13 +272,13 @@ func TestMaxBundlesDropsLaterCaptures(t *testing.T) {
 func TestEventExcerptBounds(t *testing.T) {
 	r := newRec(t, flightrec.Config{HistoryEpochs: 2, TailEpochs: 1, MaxBundleEvents: 4})
 	for i := uint64(0); i < 10; i++ {
-		r.Lock(i, 100+i, false) // engine never advances: all at cycle 0
+		lock(r, i, 100+i, false) // engine never advances: all at cycle 0
 	}
 	trigger(r, health.KindLockChurn, 0) // epoch 0 spans cycle 0: all in window
 	for i := uint64(0); i < 3; i++ {
-		r.Unlock(i, 100+i) // during capture, but the excerpt is already full
+		unlock(r, i, 100+i) // during capture, but the excerpt is already full
 	}
-	r.Observe(epochState(1), health.Status{})
+	r.ObserveEpoch(epochState(1), health.Status{})
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
@@ -288,7 +305,7 @@ func TestOffenderTopK(t *testing.T) {
 	hit := func(block, times uint64) {
 		a := &mem.Access{PAddr: block << 11}
 		for i := uint64(0); i < times; i++ {
-			r.DemandComplete(a, stats.PathNMHit, 100)
+			complete(r, a, stats.PathNMHit, 100)
 		}
 	}
 	hit(7, 5)
@@ -297,7 +314,7 @@ func TestOffenderTopK(t *testing.T) {
 	hit(1, 1) // squeezed out of the top 3
 	trigger(r, health.KindSwapThrash, 0)
 	hit(42, 2) // next epoch's table starts clean
-	r.Observe(epochState(1), health.Status{})
+	r.ObserveEpoch(epochState(1), health.Status{})
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
@@ -345,7 +362,7 @@ func TestSteadyStateObserveDoesNotAllocate(t *testing.T) {
 		st.Sample.Epoch = epoch
 		st.Sample.Cycle = (epoch + 1) * 1000
 		attr.Count[stats.PathNMHit] += 10
-		r.Observe(st, health.Status{})
+		r.ObserveEpoch(st, health.Status{})
 		epoch++
 	})
 	if avg != 0 {
@@ -353,8 +370,8 @@ func TestSteadyStateObserveDoesNotAllocate(t *testing.T) {
 	}
 	a := &mem.Access{PAddr: 123 << 11}
 	avg = testing.AllocsPerRun(200, func() {
-		r.DemandComplete(a, stats.PathBypass, 50)
-		r.Swap(mem.Location{Level: stats.NM, DevAddr: 1}, mem.Location{Level: stats.FM, DevAddr: 2})
+		complete(r, a, stats.PathBypass, 50)
+		swap(r, mem.Location{Level: stats.NM, DevAddr: 1}, mem.Location{Level: stats.FM, DevAddr: 2})
 	})
 	if avg != 0 {
 		t.Errorf("steady-state event feed allocates %.1f objects/event, want 0", avg)
@@ -367,13 +384,13 @@ func TestSyntheticBundleDeterminism(t *testing.T) {
 	mk := func() *flightrec.Bundle {
 		r := newRec(t, flightrec.Config{HistoryEpochs: 4, TailEpochs: 2})
 		for i := uint64(0); i < 6; i++ {
-			r.Lock(i, 200+i, i%2 == 0)
-			r.DemandComplete(&mem.Access{PAddr: (300 + i) << 11}, stats.PathFM, 80+i)
+			lock(r, i, 200+i, i%2 == 0)
+			complete(r, &mem.Access{PAddr: (300 + i) << 11}, stats.PathFM, 80+i)
 		}
 		feed(r, 0, 3)
 		trigger(r, health.KindSwapThrash, 3)
-		r.Observe(epochState(4), health.Status{})
-		r.Observe(epochState(5), health.Status{})
+		r.ObserveEpoch(epochState(4), health.Status{})
+		r.ObserveEpoch(epochState(5), health.Status{})
 		out := r.Finish()
 		if len(out) != 1 {
 			t.Fatalf("got %d bundles, want 1", len(out))
@@ -420,8 +437,8 @@ func thrashSpec() harness.Spec {
 }
 
 // TestHarnessBundleByteDeterminism: a real thrashing run captures at least
-// one bundle, repeat runs reproduce every byte, and disabling the recorder
-// leaves the simulation's deterministic outcome untouched (inertness).
+// one bundle, and repeat runs reproduce every byte. (Inertness is proven
+// for every plane at once by manifest's TestPlanesAreInert.)
 func TestHarnessBundleByteDeterminism(t *testing.T) {
 	run := func(spec harness.Spec) *harness.Result {
 		t.Helper()
@@ -453,18 +470,5 @@ func TestHarnessBundleByteDeterminism(t *testing.T) {
 		if !bytes.Equal(ba.Bytes(), bb.Bytes()) {
 			t.Errorf("bundle %d differs between identical runs", i)
 		}
-	}
-
-	off := thrashSpec()
-	off.Flightrec = &flightrec.Config{Disabled: true}
-	c := run(off)
-	if len(c.Bundles) != 0 {
-		t.Errorf("disabled recorder produced %d bundles", len(c.Bundles))
-	}
-	if a.Cycles != c.Cycles {
-		t.Errorf("recorder changed Cycles: %d vs %d", a.Cycles, c.Cycles)
-	}
-	if a.Mem != c.Mem {
-		t.Errorf("recorder changed memory counters:\non  %+v\noff %+v", a.Mem, c.Mem)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"silcfm/internal/harness"
 	"silcfm/internal/health"
 	"silcfm/internal/mem"
-	"silcfm/internal/sim"
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry/exemplar"
 )
@@ -150,7 +149,7 @@ func TestOffenderTableMatchesReference(t *testing.T) {
 		var refs []*refOffenders
 		hit := func(ref *refOffenders, block uint64) {
 			lat := uint64(20 + rng.Intn(500))
-			r.DemandComplete(&mem.Access{PAddr: block << 11}, stats.PathFM, lat)
+			complete(r, &mem.Access{PAddr: block << 11}, stats.PathFM, lat)
 			ref.bump(block, lat)
 		}
 		// distinct blocks per epoch: saturated, saturated, under the cap.
@@ -223,13 +222,13 @@ func TestOffenderTableMatchesReference(t *testing.T) {
 func TestSaturatedBumpDoesNotAllocate(t *testing.T) {
 	r := newRec(t, flightrec.Config{})
 	for b := uint64(0); b < 2*offenderAdmitCap; b++ {
-		r.DemandComplete(&mem.Access{PAddr: b << 11}, stats.PathNMHit, 10)
+		complete(r, &mem.Access{PAddr: b << 11}, stats.PathNMHit, 10)
 	}
 	admitted := &mem.Access{PAddr: 5 << 11}
 	refused := &mem.Access{PAddr: (3 * offenderAdmitCap) << 11}
 	avg := testing.AllocsPerRun(200, func() {
-		r.DemandComplete(admitted, stats.PathNMHit, 10)
-		r.DemandComplete(refused, stats.PathNMHit, 10)
+		complete(r, admitted, stats.PathNMHit, 10)
+		complete(r, refused, stats.PathNMHit, 10)
 	})
 	if avg != 0 {
 		t.Errorf("saturated offender table allocates %.1f objects/demand pair, want 0", avg)
@@ -240,7 +239,7 @@ func TestSaturatedBumpDoesNotAllocate(t *testing.T) {
 // to one epoch's offender table, so three of four blocks are refused: the
 // per-demand cost of a table mcf fills every epoch.
 func BenchmarkRecorderBumpSaturated(b *testing.B) {
-	r := flightrec.New(flightrec.Config{}, &mem.System{Eng: sim.NewEngine()}, "bench-fp", "bench/run")
+	r := flightrec.New(flightrec.Config{}, "bench-fp", "bench/run")
 	rng := rand.New(rand.NewSource(1))
 	accs := make([]mem.Access, 4096)
 	for i := range accs {
@@ -249,6 +248,6 @@ func BenchmarkRecorderBumpSaturated(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.DemandComplete(&accs[i&4095], stats.PathNMHit, 100)
+		complete(r, &accs[i&4095], stats.PathNMHit, 100)
 	}
 }

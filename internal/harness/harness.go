@@ -121,6 +121,8 @@ type Result struct {
 	Exemplars []exemplar.Exemplar
 	// Profile is the hotness profiler, when Spec.Telemetry requested one.
 	Profile *telemetry.Profiler
+	// Shadow is the shadow integrity checker, when Spec.ShadowCheck is set.
+	Shadow *shadow.Checker
 	// Spec is the effective spec this run executed (InstrPerCore defaulted,
 	// Telemetry cleared), for manifest fingerprinting.
 	Spec Spec
@@ -279,8 +281,8 @@ func Run(spec Spec) (*Result, error) {
 		return space.MustTranslate(vm.CoreVA(c, va))
 	}
 
-	// Telemetry attaches after the shadow checker so the tracer joins the
-	// observer fanout without displacing it; gauges come from the raw
+	// Telemetry attaches after the shadow checker so the tracer sees each
+	// event after the checker has validated it; gauges come from the raw
 	// controller (the checker wrapper does not forward them).
 	//
 	// The health detector rides the telemetry epoch pump: the config is
@@ -297,10 +299,10 @@ func Run(spec Spec) (*Result, error) {
 		hcfg.QueueCapFM = m.FM.Channels * (m.FM.ReadQueueLen + m.FM.WriteQueueLen)
 	}
 	det := health.NewDetector(hcfg)
-	// The exemplar recorder joins the observer fanout for demand
-	// issue/completion events and the OnEpoch chain (below) for epoch
-	// context. It is created before the flight recorder so incident
-	// captures can freeze its reservoirs at open.
+	// The exemplar recorder observes demand issue/completion events and
+	// joins the OnEpoch chain (below) for epoch context. It is created
+	// before the flight recorder so incident captures can freeze its
+	// reservoirs at open.
 	ecfg := exemplar.Config{}
 	if spec.Exemplars != nil {
 		ecfg = *spec.Exemplars
@@ -309,15 +311,15 @@ func Run(spec Spec) (*Result, error) {
 	if exr != nil {
 		sys.AttachObserver(exr)
 	}
-	// The flight recorder joins the observer fanout for movement events and
-	// the OnEpoch chain (below) for epoch state + health status. It stamps
+	// The flight recorder observes swap, lock and completion events and
+	// joins the OnEpoch chain (below) for epoch state + health status. It stamps
 	// bundles with the same fingerprint the run manifest will carry.
 	fcfg := flightrec.Config{}
 	if spec.Flightrec != nil {
 		fcfg = *spec.Flightrec
 	}
 	fcfg.Exemplars = exr.Snapshot // nil-safe; freezes the reservoirs at incident open
-	rec := flightrec.New(fcfg, sys, manifestSpec.Fingerprint(), ctl.Name()+"/"+wlLabel)
+	rec := flightrec.New(fcfg, manifestSpec.Fingerprint(), ctl.Name()+"/"+wlLabel)
 	if rec != nil {
 		sys.AttachObserver(rec)
 	}
@@ -340,8 +342,8 @@ func Run(spec Spec) (*Result, error) {
 				opened, closed := health.DiffOpen(prevOpen, open)
 				prevOpen = open
 				hs := health.Status{Open: open, Opened: opened, Closed: closed}
-				exr.Observe(st, hs)
-				rec.Observe(st, hs)
+				exr.ObserveEpoch(st, hs)
+				rec.ObserveEpoch(st, hs)
 				if publish != nil {
 					publish(st, hs)
 				}
@@ -436,6 +438,7 @@ func Run(spec Spec) (*Result, error) {
 	if chk != nil {
 		res.ShadowErr = chk.Check()
 	}
+	res.Shadow = chk
 	// Counter-conservation audit. The engine may still hold scheduled
 	// background work (telemetry pump, deferred writebacks), so the tolerant
 	// (non-quiesced) invariants apply here; the stress driver runs the

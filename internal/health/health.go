@@ -514,10 +514,8 @@ func (d *Detector) step(kind string, fire bool, sev float64, o *obs, ev Evidence
 }
 
 func kindIndex(kind string) int {
-	for i, k := range kinds {
-		if k == kind {
-			return i
-		}
+	if i, ok := KindIndex(kind); ok {
+		return i
 	}
 	panic("health: unknown kind " + kind)
 }

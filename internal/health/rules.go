@@ -21,6 +21,17 @@ type RuleInfo struct {
 // Kinds returns the incident kinds in detector evaluation order.
 func Kinds() []string { return append([]string(nil), kinds[:]...) }
 
+// KindIndex returns kind's position in Kinds(); ok is false for unknown
+// kinds.
+func KindIndex(kind string) (i int, ok bool) {
+	for i, k := range kinds {
+		if k == kind {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
 // Rules renders every rule's metadata with cfg's thresholds resolved to
 // their effective values (zero fields take the documented defaults), in
 // detector evaluation order.

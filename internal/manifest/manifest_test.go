@@ -10,7 +10,6 @@ import (
 	"silcfm/internal/harness"
 	"silcfm/internal/health"
 	"silcfm/internal/stats"
-	"silcfm/internal/telemetry/exemplar"
 )
 
 // testEntry builds a fully-populated synthetic entry without running a
@@ -423,61 +422,5 @@ func TestRealRunManifestDeterminism(t *testing.T) {
 	}
 	if !d.OK() {
 		t.Fatalf("identical runs must diff clean: %s\n%s", d.Summary(), d.Table)
-	}
-}
-
-// TestExemplarsOnOffManifestByteInert pins the exemplar recorder's
-// inertness at the manifest level: the same cell run with the recorder on
-// and off must produce byte-identical deterministic sections once the
-// exemplars leaf itself is set aside. Any counter the recorder perturbed
-// would surface here.
-func TestExemplarsOnOffManifestByteInert(t *testing.T) {
-	spec := harness.Spec{
-		Machine:           config.Small(),
-		Workload:          "milc",
-		InstrPerCore:      20000,
-		ScaleInstrByClass: true,
-		FootScaleNum:      1,
-		FootScaleDen:      8,
-	}
-	run := func(disabled bool) Entry {
-		s := spec
-		s.Exemplars = &exemplar.Config{Disabled: disabled}
-		res, err := harness.Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FromResult("silc/milc", res)
-	}
-	on, off := run(false), run(true)
-	if len(on.Sim.Exemplars) == 0 {
-		t.Fatal("recorder-on manifest carries no exemplar summaries")
-	}
-	if off.Sim.Exemplars != nil {
-		t.Fatal("recorder-off manifest carries exemplar summaries")
-	}
-	det := func(e Entry) []byte {
-		e.Host = Host{}
-		e.Sim.Exemplars = nil
-		enc, err := Canonical(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return enc
-	}
-	a, b := det(on), det(off)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("recorder on/off manifests differ outside the exemplars leaf:\n%s\nvs\n%s", a, b)
-	}
-	// The summary leaf itself is sim-exact: worst latency per path matches
-	// the latency histogram's exact max.
-	maxByPath := map[string]uint64{}
-	for _, l := range on.Sim.Latency {
-		maxByPath[l.Path] = l.Max
-	}
-	for _, s := range on.Sim.Exemplars {
-		if s.Count == 0 || s.WorstLatency != maxByPath[s.Path] {
-			t.Fatalf("exemplar summary %+v disagrees with histogram max %d", s, maxByPath[s.Path])
-		}
 	}
 }

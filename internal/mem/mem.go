@@ -101,63 +101,76 @@ type Controller interface {
 	Locate(pa uint64) Location
 }
 
-// Observer receives the semantic data-movement events of a System. Events
-// are emitted eagerly at submission time, in dataflow order: a location's
-// contents are always captured (read out) before anything overwrites them,
-// and every capture is delivered exactly once. The shadow checker
-// (internal/shadow) implements this to track where every flat subblock's
-// data lives and to catch ordering/data-loss bugs that the end-of-run
-// mapping audit cannot see.
-type Observer interface {
-	// Demand: flat address pa's data is accessed at loc. Reads return the
-	// data stored there; writes deposit pa's new data there.
-	Demand(pa uint64, loc Location, write bool)
-	// Capture: the contents of loc are read out and held by the controller
-	// for a later Deliver.
-	Capture(loc Location)
-	// Deliver: the oldest undelivered Capture of src lands at dst.
-	Deliver(src, dst Location)
-	// Relocate: dst takes over src's contents via a one-way copy; dst's
+// EventKind names what one observer Event reports.
+type EventKind uint8
+
+// The observer event kinds. The first four are the pure dataflow stream:
+// events are emitted eagerly at submission time, in dataflow order, so a
+// location's contents are always captured (read out) before anything
+// overwrites them, and every capture is delivered exactly once.
+const (
+	// EvDemand: flat address PA's data is accessed at Src. Reads return
+	// the data stored there; writes (Write) deposit PA's new data there.
+	EvDemand EventKind = iota
+	// EvCapture: the contents of Src are read out and held by the
+	// controller for a later EvDeliver.
+	EvCapture
+	// EvDeliver: the oldest undelivered capture of Src lands at Dst.
+	EvDeliver
+	// EvRelocate: Dst takes over Src's contents via a one-way copy; Dst's
 	// previous contents are dropped (legal only if they were never demand
 	// data — e.g. HMA migrating a block into a never-used NM frame).
-	Relocate(src, dst Location)
-}
-
-// SchemeObserver is an optional Observer extension for scheme-level
-// semantic events the pure data-movement stream cannot express. Observers
-// that only verify dataflow (the shadow checker) need not implement it;
-// the telemetry tracer does.
-type SchemeObserver interface {
-	// Swap: an exchange between a and b was initiated (subblock swap or
-	// bulk block DMA); the Capture/Deliver pairs describing its dataflow
-	// follow separately.
-	Swap(a, b Location)
-	// Lock: NM frame was locked over the flat 2 KB block with index
-	// block; home reports whether it pins the frame's own home block
+	EvRelocate
+	// EvSwap: an exchange between Src and Dst was initiated (subblock swap
+	// or bulk block DMA); the capture/deliver pairs describing its
+	// dataflow follow separately.
+	EvSwap
+	// EvLock: NM frame Frame was locked over the flat 2 KB block with
+	// index Block; Home reports whether it pins the frame's own home block
 	// (true) or an interleaved FM block (false).
-	Lock(frame, block uint64, home bool)
-	// Unlock: NM frame rejoined normal swapping; block is the flat block
-	// index it had pinned.
-	Unlock(frame, block uint64)
+	EvLock
+	// EvUnlock: NM frame Frame rejoined normal swapping; Block is the flat
+	// block index it had pinned.
+	EvUnlock
+	// EvIssue: demand Access is dispatched to the devices under Path by
+	// ServiceAccess/SwapAccess, before any (possibly synchronous)
+	// completion fires. Src is the location the demand targets (the src
+	// side for swaps). Schemes that classify completions directly through
+	// DemandDone (CAMEO's combined remap-read paths) bypass it, so an
+	// EvComplete may arrive for an access that never saw EvIssue.
+	EvIssue
+	// EvComplete: demand Access completed under Path with end-to-end
+	// latency Lat. Its span attribution is final, so Access.Spans() is
+	// complete.
+	EvComplete
+)
+
+// Event is one observer event: a fixed-size record whose fields are set
+// per Kind as documented on the EventKind constants, zero otherwise. Cycle
+// is stamped by the System at emission.
+type Event struct {
+	Kind  EventKind
+	Write bool             // EvDemand: the access writes
+	Home  bool             // EvLock: the frame pins its own home block
+	Path  stats.DemandPath // EvIssue, EvComplete: the demand's service path
+	Cycle uint64
+	PA    uint64 // EvDemand: flat physical address
+	Frame uint64 // EvLock, EvUnlock: NM frame
+	Block uint64 // EvLock, EvUnlock: flat 2 KB block index
+	Src   Location
+	Dst   Location
+	// Access is the demand of an EvIssue or EvComplete.
+	Access *Access
+	Lat    uint64 // EvComplete: end-to-end latency in cycles
 }
 
-// DemandObserver is an optional Observer extension receiving demand
-// completions with their path classification and end-to-end latency. The
-// hotness profiler implements it; the callback runs after the access's
-// span attribution is final, so a.Spans() is complete.
-type DemandObserver interface {
-	DemandComplete(a *Access, path stats.DemandPath, lat uint64)
-}
-
-// DemandIssueObserver is an optional Observer extension receiving demand
-// accesses at issue time — when ServiceAccess/SwapAccess dispatches them to
-// the devices, before any (possibly synchronous) completion fires. loc is
-// the device location the demand targets (the src side for swaps). Schemes
-// that classify completions directly through DemandDone (CAMEO's combined
-// remap-read paths) bypass this hook, so issue-side context is best-effort:
-// a DemandComplete may arrive for an access that never saw DemandIssue.
-type DemandIssueObserver interface {
-	DemandIssue(a *Access, path stats.DemandPath, loc Location)
+// Observer receives a System's events. The shadow checker
+// (internal/shadow) tracks where every flat subblock's data lives from the
+// dataflow kinds to catch ordering/data-loss bugs that the end-of-run
+// mapping audit cannot see; the telemetry, flight and exemplar recorders
+// consume the rest. Observers ignore the kinds they do not use.
+type Observer interface {
+	Observe(Event)
 }
 
 // LockProbe is an optional Controller extension exposing the instantaneous
@@ -217,20 +230,8 @@ type System struct {
 	// when balancing against device counters.
 	RideAlong [2]uint64
 
-	// Obs, when non-nil, receives semantic data-movement events from the
-	// compound operations below (and Note* calls from schemes with custom
-	// movement paths). Set it through AttachObserver, which also refreshes
-	// the cached optional-interface views below; assigning the field
-	// directly leaves the SchemeObserver/DemandObserver event streams
-	// unwired.
-	Obs Observer
-
-	// obsScheme/obsDemand/obsIssue are Obs's optional-interface views,
-	// resolved once in AttachObserver so per-event dispatch skips the type
-	// assertion.
-	obsScheme SchemeObserver
-	obsDemand DemandObserver
-	obsIssue  DemandIssueObserver
+	// obs receives every Event, in attach order (see AttachObserver).
+	obs []Observer
 
 	// FaultInjectSwapOrder reintroduces the pre-fix SwapDemand write-path
 	// ordering bug (demand write submitted before dst's old contents are
@@ -415,65 +416,62 @@ func (s *System) Device(level stats.MemLevel) *dram.Device {
 	return s.FM
 }
 
-// NoteDemand reports a demand access to the observer, if any. Schemes with
-// custom movement paths call this (and the other Note helpers) to describe
-// their data flow; the compound System operations call them internally.
-func (s *System) NoteDemand(pa uint64, loc Location, write bool) {
-	if s.Obs != nil {
-		s.Obs.Demand(pa, loc, write)
+// AttachObserver adds o to the System's observers. For every event,
+// observers are notified first-attached-first, synchronously, before the
+// emitting operation continues, and all of them see the identical stream.
+// Consumers may rely on this to compose — e.g. the shadow integrity checker
+// is attached before telemetry, so it has validated each movement before
+// the tracer or profiler consumes it.
+func (s *System) AttachObserver(o Observer) { s.obs = append(s.obs, o) }
+
+// emit stamps e with the current cycle and delivers it to every observer.
+// e travels by value: a pointer to it would escape through the interface
+// call and allocate on every event.
+func (s *System) emit(e Event) {
+	if len(s.obs) == 0 {
+		return
 	}
+	e.Cycle = s.Eng.Now()
+	for _, o := range s.obs {
+		o.Observe(e)
+	}
+}
+
+// NoteDemand reports a demand access to the observers. Schemes with custom
+// movement paths call this (and the other Note helpers) to describe their
+// data flow; the compound System operations call them internally.
+func (s *System) NoteDemand(pa uint64, loc Location, write bool) {
+	s.emit(Event{Kind: EvDemand, PA: pa, Src: loc, Write: write})
 }
 
 // NoteCapture reports that loc's contents were read out for a later move.
-func (s *System) NoteCapture(loc Location) {
-	if s.Obs != nil {
-		s.Obs.Capture(loc)
-	}
-}
+func (s *System) NoteCapture(loc Location) { s.emit(Event{Kind: EvCapture, Src: loc}) }
 
 // NoteDeliver reports that the oldest captured copy of src landed at dst.
-func (s *System) NoteDeliver(src, dst Location) {
-	if s.Obs != nil {
-		s.Obs.Deliver(src, dst)
-	}
-}
+func (s *System) NoteDeliver(src, dst Location) { s.emit(Event{Kind: EvDeliver, Src: src, Dst: dst}) }
 
 // NoteRelocate reports a one-way copy of src's contents over dst.
-func (s *System) NoteRelocate(src, dst Location) {
-	if s.Obs != nil {
-		s.Obs.Relocate(src, dst)
-	}
-}
+func (s *System) NoteRelocate(src, dst Location) { s.emit(Event{Kind: EvRelocate, Src: src, Dst: dst}) }
 
-// NoteSwap reports an initiated exchange to observers implementing
-// SchemeObserver.
-func (s *System) NoteSwap(a, b Location) {
-	if so := s.obsScheme; so != nil {
-		so.Swap(a, b)
-	}
-}
+// NoteSwap reports an initiated exchange between a and b.
+func (s *System) NoteSwap(a, b Location) { s.emit(Event{Kind: EvSwap, Src: a, Dst: b}) }
 
-// NoteLock reports a frame lock over flat block index block to observers
-// implementing SchemeObserver.
+// NoteLock reports a frame lock over flat block index block.
 func (s *System) NoteLock(frame, block uint64, home bool) {
-	if so := s.obsScheme; so != nil {
-		so.Lock(frame, block, home)
-	}
+	s.emit(Event{Kind: EvLock, Frame: frame, Block: block, Home: home})
 }
 
-// NoteUnlock reports a frame unlock to observers implementing
-// SchemeObserver; block is the flat block index the frame had pinned.
+// NoteUnlock reports a frame unlock; block is the flat block index the
+// frame had pinned.
 func (s *System) NoteUnlock(frame, block uint64) {
-	if so := s.obsScheme; so != nil {
-		so.Unlock(frame, block)
-	}
+	s.emit(Event{Kind: EvUnlock, Frame: frame, Block: block})
 }
 
 // DemandDone classifies access a under path for the per-path latency and
 // span-attribution accounting and returns the completion callback to use
 // in its place: invoking it records now-Start under path, folds the
-// access's spans (residual into stats.SpanOther) into Attr, notifies any
-// DemandObserver, then chains to a.Done. Every callback returned here must
+// access's spans (residual into stats.SpanOther) into Attr, emits
+// EvComplete, then chains to a.Done. Every callback returned here must
 // be invoked exactly once; the conservation audit counts the callbacks
 // still outstanding.
 func (s *System) DemandDone(a *Access, path stats.DemandPath) func() {
@@ -510,9 +508,7 @@ func (a *Access) complete() {
 		s.Attr.Observe(a.path, &a.spans)
 	}
 	s.inflight--
-	if do := s.obsDemand; do != nil {
-		do.DemandComplete(a, a.path, total)
-	}
+	s.emit(Event{Kind: EvComplete, Access: a, Path: a.path, Lat: total})
 	if a.Done != nil {
 		a.Done()
 	}
@@ -523,24 +519,20 @@ func (s *System) InflightDemands() uint64 { return s.inflight }
 
 // ServiceAccess is ServiceDemand over a full Access, recording the demand
 // completion latency under path and attributing the device request's
-// queue/service time to the access. Issue observers fire before the demand
+// queue/service time to the access. EvIssue is emitted before the demand
 // is dispatched (demand writes complete synchronously at submission, so
 // this is the last point the access is reliably in flight).
 func (s *System) ServiceAccess(a *Access, loc Location, path stats.DemandPath) {
-	if io := s.obsIssue; io != nil {
-		io.DemandIssue(a, path, loc)
-	}
+	s.emit(Event{Kind: EvIssue, Access: a, Path: path, Src: loc})
 	s.serviceDemand(a.PAddr, loc, a.Write, a.SpanTrace(), s.DemandDone(a, path))
 }
 
 // SwapAccess is SwapDemand over a full Access, recording the demand
 // completion latency under path and attributing the demand leg's
-// queue/service time to the access. Issue observers see the src side (where
-// the demand data currently resides) before dispatch.
+// queue/service time to the access. EvIssue carries the src side (where
+// the demand data currently resides) and is emitted before dispatch.
 func (s *System) SwapAccess(a *Access, src, dst Location, path stats.DemandPath) {
-	if io := s.obsIssue; io != nil {
-		io.DemandIssue(a, path, src)
-	}
+	s.emit(Event{Kind: EvIssue, Access: a, Path: path, Src: src})
 	s.swapDemand(a.PAddr, src, dst, a.Write, a.SpanTrace(), s.DemandDone(a, path))
 }
 

@@ -93,22 +93,24 @@ func TestExchangeSubblocksTraffic(t *testing.T) {
 	}
 }
 
-// recObs records observer events as strings for order assertions.
+// recObs records the dataflow events as strings for order assertions.
 type recObs struct{ events []string }
 
-func (r *recObs) Demand(pa uint64, loc Location, write bool) {
-	op := "R"
-	if write {
-		op = "W"
+func (r *recObs) Observe(e Event) {
+	switch e.Kind {
+	case EvDemand:
+		op := "R"
+		if e.Write {
+			op = "W"
+		}
+		r.events = append(r.events, op+" demand "+e.Src.Level.String())
+	case EvCapture:
+		r.events = append(r.events, "capture "+e.Src.Level.String())
+	case EvDeliver:
+		r.events = append(r.events, "deliver "+e.Dst.Level.String())
+	case EvRelocate:
+		r.events = append(r.events, "relocate "+e.Dst.Level.String())
 	}
-	r.events = append(r.events, op+" demand "+loc.Level.String())
-}
-func (r *recObs) Capture(loc Location) { r.events = append(r.events, "capture "+loc.Level.String()) }
-func (r *recObs) Deliver(src, dst Location) {
-	r.events = append(r.events, "deliver "+dst.Level.String())
-}
-func (r *recObs) Relocate(src, dst Location) {
-	r.events = append(r.events, "relocate "+dst.Level.String())
 }
 
 func eventsEqual(a, b []string) bool {

@@ -187,16 +187,31 @@ func (k *Checker) checkToken(t uint64) {
 	}
 }
 
-// --- mem.Observer ---
-
-// Demand implements mem.Observer: flat address pa's data is accessed at
-// loc. Reads must find pa's token there; writes deposit it there, which is
-// only legal if the displaced contents are dead or captured.
-func (k *Checker) Demand(pa uint64, loc mem.Location, write bool) {
+// Observe implements mem.Observer: it applies the dataflow events (demand,
+// capture, deliver, relocate) to the shadow placement and ignores the rest.
+func (k *Checker) Observe(e mem.Event) {
 	if k.err != nil {
 		return
 	}
+	switch e.Kind {
+	case mem.EvDemand:
+		k.demand(e.PA, e.Src, e.Write)
+	case mem.EvCapture:
+		k.capture(e.Src)
+	case mem.EvDeliver:
+		k.deliver(e.Src, e.Dst)
+	case mem.EvRelocate:
+		k.relocate(e.Src, e.Dst)
+	default:
+		return
+	}
 	k.events++
+}
+
+// demand: flat address pa's data is accessed at loc. Reads must find pa's
+// token there; writes deposit it there, which is only legal if the
+// displaced contents are dead or captured.
+func (k *Checker) demand(pa uint64, loc mem.Location, write bool) {
 	t := memunits.SubblockOf(pa)
 	if t >= k.totalSubs {
 		k.failf("demand to flat %#x beyond flat capacity", pa)
@@ -218,12 +233,8 @@ func (k *Checker) Demand(pa uint64, loc mem.Location, write bool) {
 	}
 }
 
-// Capture implements mem.Observer: loc's contents are read out and held.
-func (k *Checker) Capture(loc mem.Location) {
-	if k.err != nil {
-		return
-	}
-	k.events++
+// capture: loc's contents are read out and held.
+func (k *Checker) capture(loc mem.Location) {
 	s, ok := k.slotOf(loc)
 	if !ok {
 		k.failf("capture at invalid location %s %#x", loc.Level, loc.DevAddr)
@@ -239,13 +250,8 @@ func (k *Checker) Capture(loc mem.Location) {
 	k.heldCnt++
 }
 
-// Deliver implements mem.Observer: the oldest captured copy of src lands at
-// dst.
-func (k *Checker) Deliver(src, dst mem.Location) {
-	if k.err != nil {
-		return
-	}
-	k.events++
+// deliver: the oldest captured copy of src lands at dst.
+func (k *Checker) deliver(src, dst mem.Location) {
 	ss, ok := k.slotOf(src)
 	if !ok {
 		k.failf("deliver from invalid location %s %#x", src.Level, src.DevAddr)
@@ -276,14 +282,10 @@ func (k *Checker) Deliver(src, dst mem.Location) {
 	k.place(ds, v, fmt.Sprintf("delivery of %s", k.tokenName(v)))
 }
 
-// Relocate implements mem.Observer: dst takes src's contents via a one-way
-// copy; dst's old contents are dropped, legal only if they never carried
-// demand-written data.
-func (k *Checker) Relocate(src, dst mem.Location) {
-	if k.err != nil {
-		return
-	}
-	k.events++
+// relocate: dst takes src's contents via a one-way copy; dst's old
+// contents are dropped, legal only if they never carried demand-written
+// data.
+func (k *Checker) relocate(src, dst mem.Location) {
 	ss, ok := k.slotOf(src)
 	if !ok {
 		k.failf("relocate from invalid location %s %#x", src.Level, src.DevAddr)

@@ -101,7 +101,7 @@ func TestCheckerFlagsUncapturedOverwrite(t *testing.T) {
 	nm0 := mem.Location{Level: stats.NM, DevAddr: 0}
 	// Demand-write flat FM subblock 0's data over NM slot 0 without
 	// capturing the home data first.
-	chk.Demand(fmAddr(sys, 0, 0), nm0, true)
+	sys.NoteDemand(fmAddr(sys, 0, 0), nm0, true)
 	if chk.Err() == nil {
 		t.Fatal("uncaptured overwrite not flagged")
 	}
@@ -109,10 +109,10 @@ func TestCheckerFlagsUncapturedOverwrite(t *testing.T) {
 
 // TestCheckerFlagsDeliverWithoutCapture unit-tests the ordering rule.
 func TestCheckerFlagsDeliverWithoutCapture(t *testing.T) {
-	_, _, chk := silcRig(t, false)
+	_, sys, chk := silcRig(t, false)
 	nm0 := mem.Location{Level: stats.NM, DevAddr: 0}
 	fm0 := mem.Location{Level: stats.FM, DevAddr: 0}
-	chk.Deliver(nm0, fm0)
+	sys.NoteDeliver(nm0, fm0)
 	if err := chk.Err(); err == nil || !strings.Contains(err.Error(), "without a prior capture") {
 		t.Fatalf("deliver-without-capture not flagged: %v", err)
 	}
@@ -125,12 +125,11 @@ func TestCheckerFlagsWrittenRelocation(t *testing.T) {
 	_, sys, chk := silcRig(t, false)
 	nm0 := mem.Location{Level: stats.NM, DevAddr: 0}
 	fm0 := mem.Location{Level: stats.FM, DevAddr: 0}
-	chk.Demand(0, nm0, true) // flat NM subblock 0 now holds written data
-	chk.Relocate(fm0, nm0)   // one-way copy clobbers it
+	sys.NoteDemand(0, nm0, true) // flat NM subblock 0 now holds written data
+	sys.NoteRelocate(fm0, nm0)   // one-way copy clobbers it
 	if err := chk.Err(); err == nil || !strings.Contains(err.Error(), "demand-written") {
 		t.Fatalf("written relocation not flagged: %v", err)
 	}
-	_ = sys
 }
 
 // TestCheckerLocateDisagreement: a Locate answer that contradicts the data

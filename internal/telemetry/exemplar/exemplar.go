@@ -22,7 +22,6 @@ import (
 	"silcfm/internal/health"
 	"silcfm/internal/mem"
 	"silcfm/internal/memunits"
-	"silcfm/internal/sim"
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry"
 )
@@ -192,20 +191,17 @@ func (rv *reservoir) siftDown(i int) {
 	}
 }
 
-// Recorder is one run's exemplar recorder. It implements mem.Observer,
-// mem.DemandIssueObserver and mem.DemandObserver for the access feed, and
-// is fed epoch state + health status by the harness's OnEpoch chain
-// (Observe). Not safe for concurrent use: everything runs on the
-// simulation goroutine.
+// Recorder is one run's exemplar recorder. It implements mem.Observer for
+// the demand issue/completion feed, and is fed epoch state + health status
+// by the harness's OnEpoch chain (ObserveEpoch). Not safe for concurrent
+// use: everything runs on the simulation goroutine.
 type Recorder struct {
 	cfg Config
-	eng *sim.Engine
 	sys *mem.System
 	ctl mem.Controller
 	lp  mem.LockProbe // ctl's optional lock probe, resolved once
 
-	kinds   []string // health.Kinds(), index-aligned with slot.open
-	kindIdx map[string]int
+	kinds []string // health.Kinds(), index-aligned with slot.open
 
 	res [stats.NumDemandPaths]reservoir
 	seq uint64
@@ -216,7 +212,7 @@ type Recorder struct {
 	// and then stops growing, so steady state allocates nothing.
 	inflight map[*mem.Access]pointCtx
 
-	// Epoch context as of the last Observe: copied into slots at
+	// Epoch context as of the last ObserveEpoch: copied into slots at
 	// admission via per-slot buffers.
 	epoch       uint64
 	openNow     []bool
@@ -233,17 +229,12 @@ func New(cfg Config, sys *mem.System, ctl mem.Controller) *Recorder {
 	}
 	r := &Recorder{
 		cfg:      cfg.withDefaults(),
-		eng:      sys.Eng,
 		sys:      sys,
 		ctl:      ctl,
 		kinds:    health.Kinds(),
 		inflight: make(map[*mem.Access]pointCtx),
 	}
 	r.lp, _ = ctl.(mem.LockProbe)
-	r.kindIdx = make(map[string]int, len(r.kinds))
-	for i, k := range r.kinds {
-		r.kindIdx[k] = i
-	}
 	r.openNow = make([]bool, len(r.kinds))
 	for p := range r.res {
 		r.res[p].slots = make([]slot, r.cfg.K)
@@ -262,23 +253,13 @@ func (r *Recorder) K() int {
 	return r.cfg.K
 }
 
-// --- mem.Observer -----------------------------------------------------
-
-// Demand/Capture/Deliver/Relocate are part of the raw dataflow stream; the
-// recorder keys off the demand issue/completion events instead, so these
-// are no-ops (implementing the base interface is what lets the recorder
-// join the fanout).
-func (r *Recorder) Demand(pa uint64, loc mem.Location, write bool) {}
-func (r *Recorder) Capture(loc mem.Location)                       {}
-func (r *Recorder) Deliver(src, dst mem.Location)                  {}
-func (r *Recorder) Relocate(src, dst mem.Location)                 {}
-
 // pointAt samples the instantaneous context of flat address pa serviced at
-// loc: lock state plus the target bank's open-row and queue-load state.
-func (r *Recorder) pointAt(pa uint64, loc mem.Location) pointCtx {
+// loc at cycle now: lock state plus the target bank's open-row and
+// queue-load state.
+func (r *Recorder) pointAt(pa uint64, loc mem.Location, now uint64) pointCtx {
 	dev := r.sys.Device(loc.Level)
 	p := pointCtx{
-		cycle:    r.eng.Now(),
+		cycle:    now,
 		loc:      loc,
 		rowOpen:  dev.RowOpen(loc.DevAddr),
 		bankLoad: dev.BankLoad(loc.DevAddr),
@@ -289,27 +270,27 @@ func (r *Recorder) pointAt(pa uint64, loc mem.Location) pointCtx {
 	return p
 }
 
-// --- mem.DemandIssueObserver ------------------------------------------
-
-// DemandIssue captures issue-time context for a demand dispatched through
-// ServiceAccess/SwapAccess, before any synchronous completion can fire.
-func (r *Recorder) DemandIssue(a *mem.Access, path stats.DemandPath, loc mem.Location) {
+// Observe implements mem.Observer. EvIssue captures issue-time context for
+// a demand dispatched through ServiceAccess/SwapAccess, before any
+// synchronous completion can fire; EvComplete considers the completed
+// access for its path's reservoir.
+func (r *Recorder) Observe(e mem.Event) {
 	if r == nil {
 		return
 	}
-	r.inflight[a] = r.pointAt(a.PAddr, loc)
+	switch e.Kind {
+	case mem.EvIssue:
+		r.inflight[e.Access] = r.pointAt(e.Access.PAddr, e.Src, e.Cycle)
+	case mem.EvComplete:
+		r.complete(e.Access, e.Path, e.Lat, e.Cycle)
+	}
 }
 
-// --- mem.DemandObserver -----------------------------------------------
-
-// DemandComplete considers one completed access for its path's reservoir.
-// The access's spans are final here (the SpanOther residual is stamped
-// before completion observers run), so the captured span sum equals lat
-// exactly.
-func (r *Recorder) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint64) {
-	if r == nil {
-		return
-	}
+// complete admits access a, completed under path at cycle now with latency
+// lat, if it outranks its reservoir's eviction root. The access's spans are
+// final here (the SpanOther residual is stamped before completion
+// observers run), so the captured span sum equals lat exactly.
+func (r *Recorder) complete(a *mem.Access, path stats.DemandPath, lat, now uint64) {
 	r.seq++
 	ic, hasIssue := r.inflight[a]
 	if hasIssue {
@@ -321,7 +302,7 @@ func (r *Recorder) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint
 	rv := &r.res[path]
 	if rv.n < len(rv.slots) {
 		s := &rv.slots[rv.n]
-		r.fill(s, a, lat, ic, hasIssue)
+		r.fill(s, a, lat, now, ic, hasIssue)
 		rv.n++
 		rv.siftUp(rv.n - 1)
 		return
@@ -330,19 +311,20 @@ func (r *Recorder) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint
 	// root. The candidate's seq is always the largest, so on a full
 	// latency+issue tie the incumbent keeps its slot (first-come-keeps).
 	root := &rv.slots[0]
-	if lat < root.lat || (lat == root.lat && a.Start > root.start) || (lat == root.lat && a.Start == root.start) {
+	if lat < root.lat || (lat == root.lat && a.Start >= root.start) {
 		return
 	}
-	r.fill(root, a, lat, ic, hasIssue)
+	r.fill(root, a, lat, now, ic, hasIssue)
 	rv.siftDown(0)
 }
 
-// fill overwrites s with the completed access, reusing s's buffers.
-func (r *Recorder) fill(s *slot, a *mem.Access, lat uint64, ic pointCtx, hasIssue bool) {
+// fill overwrites s with the access completed at cycle now, reusing s's
+// buffers.
+func (r *Recorder) fill(s *slot, a *mem.Access, lat, now uint64, ic pointCtx, hasIssue bool) {
 	s.seq = r.seq
 	s.core, s.pc, s.paddr, s.write = a.Core, a.PC, a.PAddr, a.Write
 	s.start = a.Start
-	s.complete = r.eng.Now()
+	s.complete = now
 	s.lat = lat
 	s.spans = a.Spans()
 	s.hasIssue = hasIssue
@@ -351,17 +333,17 @@ func (r *Recorder) fill(s *slot, a *mem.Access, lat uint64, ic pointCtx, hasIssu
 	if r.ctl != nil {
 		loc = r.ctl.Locate(a.PAddr)
 	}
-	s.done = r.pointAt(a.PAddr, loc)
+	s.done = r.pointAt(a.PAddr, loc, now)
 	s.epoch = r.epoch
 	copy(s.open, r.openNow)
 	s.gauges = append(s.gauges[:0], r.epochGauges...)
 }
 
-// Observe feeds one telemetry epoch boundary: the recorder keeps the
+// ObserveEpoch feeds one telemetry epoch boundary: the recorder keeps the
 // epoch index, scheme gauges and open incident kinds as the context
 // stamped onto subsequently admitted exemplars. Called by the harness's
 // OnEpoch chain after the detector has stepped.
-func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
+func (r *Recorder) ObserveEpoch(st telemetry.EpochState, hs health.Status) {
 	if r == nil || st.Sample == nil {
 		return
 	}
@@ -371,7 +353,7 @@ func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
 		r.openNow[i] = false
 	}
 	for i := range hs.Open {
-		if k, ok := r.kindIdx[hs.Open[i].Kind]; ok {
+		if k, ok := health.KindIndex(hs.Open[i].Kind); ok {
 			r.openNow[k] = true
 		}
 	}

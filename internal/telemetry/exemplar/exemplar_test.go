@@ -32,9 +32,19 @@ func feed(eng *sim.Engine, sys *mem.System, r *exemplar.Recorder,
 	eng.At(at, func() {
 		a := &mem.Access{PAddr: pa, Start: at - lat}
 		a.AddSpan(stats.SpanService, lat)
-		r.DemandIssue(a, path, sys.HomeLocation(pa))
-		r.DemandComplete(a, path, lat)
+		issue(eng, r, a, path, sys.HomeLocation(pa))
+		complete(eng, r, a, path, lat)
 	})
+}
+
+// issue and complete feed r the EvIssue/EvComplete events a System would
+// emit at eng's current cycle.
+func issue(eng *sim.Engine, r *exemplar.Recorder, a *mem.Access, path stats.DemandPath, loc mem.Location) {
+	r.Observe(mem.Event{Kind: mem.EvIssue, Cycle: eng.Now(), Access: a, Path: path, Src: loc})
+}
+
+func complete(eng *sim.Engine, r *exemplar.Recorder, a *mem.Access, path stats.DemandPath, lat uint64) {
+	r.Observe(mem.Event{Kind: mem.EvComplete, Cycle: eng.Now(), Access: a, Path: path, Lat: lat})
 }
 
 func latenciesOf(es []exemplar.Exemplar) []uint64 {
@@ -54,8 +64,8 @@ func TestDisabledIsNilAndNilSafe(t *testing.T) {
 	}
 	// Every method must be a no-op on the nil receiver.
 	a := &mem.Access{PAddr: 64}
-	r.DemandIssue(a, stats.PathNMHit, sys.HomeLocation(64))
-	r.DemandComplete(a, stats.PathNMHit, 10)
+	issue(eng, r, a, stats.PathNMHit, sys.HomeLocation(64))
+	complete(eng, r, a, stats.PathNMHit, 10)
 	if got := r.Snapshot(); got != nil {
 		t.Fatalf("nil recorder Snapshot = %v, want nil", got)
 	}
@@ -180,7 +190,7 @@ func TestSpanSumEqualsLatency(t *testing.T) {
 		a.AddSpan(stats.SpanService, 27)
 		a.AddSpan(stats.SpanMetaFetch, 11)
 		a.AddSpan(stats.SpanOther, 9)
-		r.DemandComplete(a, stats.PathMispredict, 60)
+		complete(eng, r, a, stats.PathMispredict, 60)
 	})
 	eng.Run()
 	es := r.Finish()
@@ -195,7 +205,7 @@ func TestSpanSumEqualsLatency(t *testing.T) {
 		t.Fatalf("span sum %d != latency %d", sum, es[0].Latency)
 	}
 	if es[0].Issue != nil {
-		t.Fatal("completion without DemandIssue must leave Issue nil")
+		t.Fatal("completion without EvIssue must leave Issue nil")
 	}
 }
 
@@ -230,16 +240,16 @@ func TestSteadyStateAdmissionDoesNotAllocate(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		lat++
 		a.Reset(0, 0, 64, false, 0, nil)
-		r.DemandIssue(a, stats.PathSwap, loc)
-		r.DemandComplete(a, stats.PathSwap, lat)
+		issue(eng, r, a, stats.PathSwap, loc)
+		complete(eng, r, a, stats.PathSwap, lat)
 	}
 	// Every iteration admits (latency strictly increasing), exercising the
 	// full issue → evict-root → fill path. Must be allocation-free.
 	allocs := testing.AllocsPerRun(200, func() {
 		lat++
 		a.Reset(0, 0, 64, false, 0, nil)
-		r.DemandIssue(a, stats.PathSwap, loc)
-		r.DemandComplete(a, stats.PathSwap, lat)
+		issue(eng, r, a, stats.PathSwap, loc)
+		complete(eng, r, a, stats.PathSwap, lat)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state admission allocates %.1f per access, want 0", allocs)

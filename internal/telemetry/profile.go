@@ -46,11 +46,11 @@ type PCProfile struct {
 }
 
 // Profiler accumulates bounded per-block and per-PC hotness profiles from
-// the observer stream. It implements mem.Observer, mem.SchemeObserver and
-// mem.DemandObserver; it only increments counters — it never schedules
-// events or touches simulation state — so attaching it is provably inert.
+// the mem.Observer stream. It only increments counters — it never
+// schedules events or touches simulation state — so attaching it is
+// provably inert.
 //
-// Demand counts and latencies are recorded at completion (DemandComplete)
+// Demand counts and latencies are recorded at completion (mem.EvComplete)
 // and keyed by the flat physical block of the access, which is
 // movement-invariant. Swap churn is recorded per delivered subblock and
 // keyed by the flat home block of the FM endpoint of the transfer: for
@@ -132,39 +132,28 @@ func (p *Profiler) churn(src, dst mem.Location) {
 	}
 }
 
-// Demand implements mem.Observer. Demands are profiled at completion
-// instead (DemandComplete), where the path and latency are known.
-func (p *Profiler) Demand(pa uint64, loc mem.Location, write bool) {}
-
-// Capture implements mem.Observer.
-func (p *Profiler) Capture(loc mem.Location) {}
-
-// Deliver implements mem.Observer.
-func (p *Profiler) Deliver(src, dst mem.Location) { p.churn(src, dst) }
-
-// Relocate implements mem.Observer.
-func (p *Profiler) Relocate(src, dst mem.Location) { p.churn(src, dst) }
-
-// Swap implements mem.SchemeObserver. The data movement of a swap arrives
-// as Deliver pairs, so the initiation event itself carries no extra churn.
-func (p *Profiler) Swap(a, b mem.Location) {}
-
-// Lock implements mem.SchemeObserver.
-func (p *Profiler) Lock(frame, block uint64, home bool) {
-	if bp := p.block(block); bp != nil {
-		bp.Locks++
+// Observe implements mem.Observer. Demands are profiled at completion,
+// where the path and latency are known; a swap's data movement arrives as
+// deliver pairs, so its initiation event carries no extra churn.
+func (p *Profiler) Observe(e mem.Event) {
+	switch e.Kind {
+	case mem.EvDeliver, mem.EvRelocate:
+		p.churn(e.Src, e.Dst)
+	case mem.EvLock:
+		if bp := p.block(e.Block); bp != nil {
+			bp.Locks++
+		}
+	case mem.EvUnlock:
+		if bp := p.block(e.Block); bp != nil {
+			bp.Unlocks++
+		}
+	case mem.EvComplete:
+		p.complete(e.Access, e.Path, e.Lat)
 	}
 }
 
-// Unlock implements mem.SchemeObserver.
-func (p *Profiler) Unlock(frame, block uint64) {
-	if bp := p.block(block); bp != nil {
-		bp.Unlocks++
-	}
-}
-
-// DemandComplete implements mem.DemandObserver.
-func (p *Profiler) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint64) {
+// complete charges one demand completion to its block and PC.
+func (p *Profiler) complete(a *mem.Access, path stats.DemandPath, lat uint64) {
 	if bp := p.block(memunits.BlockOf(a.PAddr)); bp != nil {
 		bp.Demands++
 		bp.LatSum += lat

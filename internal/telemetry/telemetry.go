@@ -122,7 +122,7 @@ func Attach(cfg *Config, sys *mem.System, ctl mem.Controller) *T {
 		t.sampler = newSampler(t.cfg.MetricsW, t.cfg.MetricsCSV, sys, gp)
 	}
 	if t.cfg.TraceW != nil {
-		t.tracer = NewTracer(sys.Eng, t.cfg.TraceLimit)
+		t.tracer = NewTracer(t.cfg.TraceLimit)
 		sys.AttachObserver(t.tracer)
 	}
 	if t.cfg.ProfileW != nil || t.cfg.Profile {

@@ -6,21 +6,12 @@ import (
 	"io"
 
 	"silcfm/internal/mem"
-	"silcfm/internal/sim"
 	"silcfm/internal/stats"
 )
 
-// event kinds, also the Perfetto track (tid) assignment.
-const (
-	evDemand = iota
-	evCapture
-	evDeliver
-	evRelocate
-	evSwap
-	evLock
-	evUnlock
-	numEvKinds
-)
+// numEvKinds counts the movement kinds the tracer records: mem.EvDemand
+// through mem.EvUnlock. The kind is also the Perfetto track (tid).
+const numEvKinds = int(mem.EvUnlock) + 1
 
 var evNames = [numEvKinds]string{
 	"demand", "capture", "deliver", "relocate", "swap", "lock", "unlock",
@@ -29,21 +20,20 @@ var evNames = [numEvKinds]string{
 // event is one recorded movement event, kept compact: the ring can hold
 // hundreds of thousands of these.
 type event struct {
-	kind  uint8
+	kind  mem.EventKind
 	write bool // demand: write access; lock: home lock
 	cycle uint64
-	pa    uint64       // demand only
+	pa    uint64       // demand: flat address; lock/unlock: flat block index
 	a, b  mem.Location // a = loc/src/frame, b = dst
 }
 
-// Tracer records the semantic movement-event stream (mem.Observer plus the
-// SchemeObserver extension) into a bounded ring buffer and serializes it as
+// Tracer records the semantic movement events of the mem.Observer stream
+// (everything but demand issue and completion) into a bounded ring buffer and serializes it as
 // Chrome trace-event JSON, viewable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing. Timestamps are simulated cycles presented as
 // microseconds (Perfetto's native unit); one trace "thread" per event kind
 // keeps the tracks separable.
 type Tracer struct {
-	eng     *sim.Engine
 	ring    []event
 	next    int    // ring write position
 	n       int    // events currently held (<= len(ring))
@@ -70,60 +60,31 @@ type spanEvent struct {
 }
 
 // NewTracer builds a tracer holding at most limit events (oldest dropped).
-func NewTracer(eng *sim.Engine, limit int) *Tracer {
+func NewTracer(limit int) *Tracer {
 	if limit <= 0 {
 		limit = DefaultTraceLimit
 	}
-	return &Tracer{eng: eng, ring: make([]event, 0, limit)}
+	return &Tracer{ring: make([]event, 0, limit)}
 }
 
-func (t *Tracer) record(e event) {
-	e.cycle = t.eng.Now()
+// Observe implements mem.Observer.
+func (t *Tracer) Observe(e mem.Event) {
+	ev := event{kind: e.Kind, write: e.Write, cycle: e.Cycle, pa: e.PA, a: e.Src, b: e.Dst}
+	switch e.Kind {
+	case mem.EvIssue, mem.EvComplete:
+		return // demand issue and completion move no data
+	case mem.EvLock, mem.EvUnlock:
+		ev.write, ev.pa, ev.a = e.Home, e.Block, mem.Location{DevAddr: e.Frame}
+	}
 	t.total++
 	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, e)
+		t.ring = append(t.ring, ev)
 		t.n++
 		return
 	}
-	t.ring[t.next] = e
+	t.ring[t.next] = ev
 	t.next = (t.next + 1) % len(t.ring)
 	t.dropped++
-}
-
-// Demand implements mem.Observer.
-func (t *Tracer) Demand(pa uint64, loc mem.Location, write bool) {
-	t.record(event{kind: evDemand, write: write, pa: pa, a: loc})
-}
-
-// Capture implements mem.Observer.
-func (t *Tracer) Capture(loc mem.Location) {
-	t.record(event{kind: evCapture, a: loc})
-}
-
-// Deliver implements mem.Observer.
-func (t *Tracer) Deliver(src, dst mem.Location) {
-	t.record(event{kind: evDeliver, a: src, b: dst})
-}
-
-// Relocate implements mem.Observer.
-func (t *Tracer) Relocate(src, dst mem.Location) {
-	t.record(event{kind: evRelocate, a: src, b: dst})
-}
-
-// Swap implements mem.SchemeObserver.
-func (t *Tracer) Swap(a, b mem.Location) {
-	t.record(event{kind: evSwap, a: a, b: b})
-}
-
-// Lock implements mem.SchemeObserver. The pinned flat block index rides in
-// the pa field.
-func (t *Tracer) Lock(frame, block uint64, home bool) {
-	t.record(event{kind: evLock, write: home, pa: block, a: mem.Location{DevAddr: frame}})
-}
-
-// Unlock implements mem.SchemeObserver.
-func (t *Tracer) Unlock(frame, block uint64) {
-	t.record(event{kind: evUnlock, pa: block, a: mem.Location{DevAddr: frame}})
 }
 
 // Events reports (recorded, dropped) counts.
@@ -178,25 +139,25 @@ type traceEvent struct {
 // encoding/json sorts map keys, so output stays byte-deterministic.
 func argsOf(e *event) map[string]any {
 	switch e.kind {
-	case evDemand:
+	case mem.EvDemand:
 		op := "read"
 		if e.write {
 			op = "write"
 		}
 		return map[string]any{"pa": fmt.Sprintf("0x%x", e.pa), "loc": locStr(e.a), "op": op}
-	case evCapture:
+	case mem.EvCapture:
 		return map[string]any{"loc": locStr(e.a)}
-	case evDeliver, evRelocate:
+	case mem.EvDeliver, mem.EvRelocate:
 		return map[string]any{"src": locStr(e.a), "dst": locStr(e.b)}
-	case evSwap:
+	case mem.EvSwap:
 		return map[string]any{"a": locStr(e.a), "b": locStr(e.b)}
-	case evLock:
+	case mem.EvLock:
 		kind := "interleaved"
 		if e.write {
 			kind = "home"
 		}
 		return map[string]any{"frame": e.a.DevAddr, "block": e.pa, "kind": kind}
-	default: // evUnlock
+	default: // mem.EvUnlock
 		return map[string]any{"frame": e.a.DevAddr, "block": e.pa}
 	}
 }

@@ -185,26 +185,16 @@ type Options struct {
 	// PostmortemOut names a directory receiving one JSON file per
 	// postmortem bundle the flight recorder emitted (bundle-NNN.json,
 	// created only when an incident opened). The recorder itself is always
-	// on — see DisableFlightrec — this only selects the file output.
+	// on; this only selects the file output.
 	PostmortemOut string
-	// DisableFlightrec turns the incident flight recorder off entirely
-	// (internal/flightrec). The recorder is inert — counters and manifests
-	// are byte-identical either way — so the switch exists for proving
-	// exactly that, and for shaving its fixed ring-buffer footprint.
-	DisableFlightrec bool
 
 	// ExemplarsOut writes every captured tail exemplar — the worst-K
 	// slowest demand accesses per service path, with their full span
 	// decomposition and issue/completion context — as JSONL at end of run.
-	// The recorder itself is always on (see DisableExemplars); this only
-	// selects the file output. Report.Exemplars and the manifest carry the
-	// per-path summary regardless.
+	// The recorder itself is always on; this only selects the file output.
+	// Report.Exemplars and the manifest carry the per-path summary
+	// regardless.
 	ExemplarsOut string
-	// DisableExemplars turns the tail-exemplar recorder off entirely
-	// (internal/telemetry/exemplar). Like the flight recorder it is inert —
-	// cycles, counters and manifests are byte-identical either way — so the
-	// switch exists for proving exactly that.
-	DisableExemplars bool
 
 	// Live attaches this run to a live observability server (see Serve):
 	// every telemetry epoch publishes a snapshot, and the run is marked
@@ -465,12 +455,6 @@ func runResult(o Options) (*harness.Result, error) {
 		return nil, err
 	}
 	spec.Telemetry = tcfg
-	if o.DisableFlightrec {
-		spec.Flightrec = &flightrec.Config{Disabled: true}
-	}
-	if o.DisableExemplars {
-		spec.Exemplars = &exemplar.Config{Disabled: true}
-	}
 	var res *harness.Result
 	if o.Live != nil {
 		id := o.RunID
@@ -478,23 +462,16 @@ func runResult(o Options) (*harness.Result, error) {
 			id = string(m.Scheme) + "/" + wl
 		}
 		spec.Publish = o.Live.Hook(id)
-		if !o.DisableFlightrec {
-			// Stream finalized bundles into the hub's incident store as they
-			// are emitted; bundles are immutable, so sharing the pointer
-			// across goroutines is race-free.
-			hub := o.Live
-			spec.Flightrec = &flightrec.Config{
-				OnBundle: func(b *flightrec.Bundle) { hub.AddBundle(id, b) },
-			}
+		// Stream finalized bundles into the hub's incident store as they
+		// are emitted, and each epoch's tail-exemplar snapshot into its
+		// exemplar store; both are immutable once built, so sharing them
+		// across goroutines is race-free.
+		hub := o.Live
+		spec.Flightrec = &flightrec.Config{
+			OnBundle: func(b *flightrec.Bundle) { hub.AddBundle(id, b) },
 		}
-		if !o.DisableExemplars {
-			// Publish each epoch's tail-exemplar snapshot into the hub's
-			// store; snapshots are freshly built and immutable, so sharing
-			// them across goroutines is race-free.
-			hub := o.Live
-			spec.Exemplars = &exemplar.Config{
-				OnSnapshot: func(es []exemplar.Exemplar) { hub.SetExemplars(id, es) },
-			}
+		spec.Exemplars = &exemplar.Config{
+			OnSnapshot: func(es []exemplar.Exemplar) { hub.SetExemplars(id, es) },
 		}
 		defer func() {
 			var final []health.Incident
