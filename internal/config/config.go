@@ -311,6 +311,9 @@ func (m Machine) Validate() error {
 	if m.PageSize != memunits.BlockSize {
 		return fmt.Errorf("config: page size %d != large block size %d", m.PageSize, memunits.BlockSize)
 	}
+	if m.NM.Capacity == 0 || m.FM.Capacity == 0 {
+		return fmt.Errorf("config: capacities must be positive: NM %d, FM %d", m.NM.Capacity, m.FM.Capacity)
+	}
 	if m.NM.Capacity%memunits.BlockSize != 0 || m.FM.Capacity%memunits.BlockSize != 0 {
 		return fmt.Errorf("config: capacities must be multiples of %d", memunits.BlockSize)
 	}
@@ -326,13 +329,41 @@ func (m Machine) Validate() error {
 	if m.Core.IssueWidth <= 0 || m.Core.ROBSize <= 0 || m.Core.MSHRs <= 0 {
 		return fmt.Errorf("config: core parameters must be positive: %+v", m.Core)
 	}
+	for _, d := range []DRAMConfig{m.NM, m.FM} {
+		if err := d.validate(); err != nil {
+			return err
+		}
+	}
 	for _, c := range []CacheConfig{m.L1D, m.L2} {
 		if c.LineSize != memunits.SubblockSize {
 			return fmt.Errorf("config: cache line size %d != subblock size", c.LineSize)
 		}
+		// The cache's MRU probe indexes ways with a uint8.
+		if c.Ways <= 0 || c.Ways > 256 {
+			return fmt.Errorf("config: cache ways = %d, want 1..256", c.Ways)
+		}
 		if c.Size%(c.LineSize*uint64(c.Ways)) != 0 {
 			return fmt.Errorf("config: cache size %d not divisible into %d ways", c.Size, c.Ways)
 		}
+		if sets := c.Size / (c.LineSize * uint64(c.Ways)); sets == 0 || sets&(sets-1) != 0 {
+			return fmt.Errorf("config: cache of %d B in %d ways has %d sets, want a power of two", c.Size, c.Ways, sets)
+		}
+	}
+	return nil
+}
+
+// validate rejects the zero divisors of the device's address mapping and
+// clock conversion.
+func (d DRAMConfig) validate() error {
+	if d.Channels <= 0 || d.RanksPerChan <= 0 || d.BanksPerRank <= 0 {
+		return fmt.Errorf("config: %s geometry must be positive: %d channels, %d ranks/channel, %d banks/rank",
+			d.Name, d.Channels, d.RanksPerChan, d.BanksPerRank)
+	}
+	if d.BusMHz == 0 || d.BusWidthBits == 0 {
+		return fmt.Errorf("config: %s bus must be positive: %d MHz, %d bits", d.Name, d.BusMHz, d.BusWidthBits)
+	}
+	if d.RowBufferSize < memunits.SubblockSize {
+		return fmt.Errorf("config: %s row buffer %d B smaller than a %d B line", d.Name, d.RowBufferSize, memunits.SubblockSize)
 	}
 	return nil
 }

@@ -107,6 +107,20 @@ func TestValidateRejections(t *testing.T) {
 		{"bad core", func(m *Machine) { m.Core.MSHRs = 0 }},
 		{"bad line size", func(m *Machine) { m.L1D.LineSize = 32 }},
 		{"indivisible cache", func(m *Machine) { m.L2.Size = 1<<20 + 64 }},
+		// Each of these used to panic (divide by zero in Validate, or in
+		// cache.New / dram.New) instead of returning an error.
+		{"zero L1 ways", func(m *Machine) { m.L1D.Ways = 0 }},
+		{"negative L2 ways", func(m *Machine) { m.L2.Ways = -16 }},
+		{"too many ways", func(m *Machine) { m.L2.Ways, m.L2.Size = 512, 512*64*16 }},
+		{"non-power-of-two sets", func(m *Machine) { m.L2.Size = 3 << 20 }},
+		{"zero NM capacity", func(m *Machine) { m.NM.Capacity = 0 }},
+		{"zero FM capacity", func(m *Machine) { m.FM.Capacity = 0 }},
+		{"zero NM channels", func(m *Machine) { m.NM.Channels = 0 }},
+		{"zero FM ranks", func(m *Machine) { m.FM.RanksPerChan = 0 }},
+		{"zero NM banks", func(m *Machine) { m.NM.BanksPerRank = 0 }},
+		{"zero FM bus clock", func(m *Machine) { m.FM.BusMHz = 0 }},
+		{"zero NM bus width", func(m *Machine) { m.NM.BusWidthBits = 0 }},
+		{"row buffer below a line", func(m *Machine) { m.FM.RowBufferSize = 32 }},
 	}
 	for _, c := range cases {
 		m := Default()

@@ -66,6 +66,27 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if _, err := Run(s); err == nil {
 		t.Fatal("oversized footprint accepted")
 	}
+	// Machines that used to panic inside Validate, cache.New or dram.New
+	// must come back as errors. There is deliberately no recover here: a
+	// panic fails the test.
+	for _, c := range []struct {
+		name string
+		mut  func(*config.Machine)
+	}{
+		{"zero L1 ways", func(m *config.Machine) { m.L1D.Ways = 0 }},
+		{"zero NM capacity", func(m *config.Machine) { m.NM.Capacity = 0 }},
+		{"non-power-of-two L2 sets", func(m *config.Machine) { m.L2.Size = 3 * 64 * 16 * 256 }},
+		{"L2 ways beyond 256", func(m *config.Machine) { m.L2.Ways, m.L2.Size = 512, 512*64*64 }},
+		{"zero FM channels", func(m *config.Machine) { m.FM.Channels = 0 }},
+		{"zero NM bus clock", func(m *config.Machine) { m.NM.BusMHz = 0 }},
+		{"row buffer below a line", func(m *config.Machine) { m.NM.RowBufferSize = 0 }},
+	} {
+		s := tinySpec(config.SchemeSILCFM, "milc")
+		c.mut(&s.Machine)
+		if _, err := Run(s); err == nil {
+			t.Errorf("%s: Run accepted an invalid machine", c.name)
+		}
+	}
 }
 
 func TestRunDeterministic(t *testing.T) {
