@@ -1,9 +1,11 @@
 #!/bin/sh
 # Local CI gate: formatting, vet, build, bench-smoke regression diff,
 # live-observability endpoint checks, and the test suite under the race
-# detector. Run from the repo root.
+# detector. Run from the repo root. Each stage also runs on its own; the
+# CI workflow calls every stage exactly once.
 #
-#   ./ci.sh          # everything
+#   ./ci.sh          # every stage below, in this order
+#   ./ci.sh fast     # gofmt, then vet + race-test the fast-fail packages
 #   ./ci.sh bench    # only the bench-smoke + manifest-diff stage
 #   ./ci.sh perf     # only the perf-regression stage (speed/alloc bands)
 #   ./ci.sh live     # only the live-server endpoint stage
@@ -11,6 +13,7 @@
 #   ./ci.sh exemplars # only the tail-exemplar capture/determinism stage
 #   ./ci.sh history  # only the cross-PR trajectory-report stage
 #   ./ci.sh perfbench # only the repo benchmark's own vet + tests
+#   ./ci.sh test     # vet, build and race-test the whole module
 set -eu
 
 # Bench-smoke stage: rerun the short manifest suite and diff its
@@ -151,65 +154,61 @@ perfbench_tests() {
 	(cd perfbench && go vet ./... && go test ./...)
 }
 
-if [ "${1:-}" = "bench" ]; then
+# Fast-fail stage: gofmt, then the observability packages (stats counters,
+# memory-system events and attribution, manifest encoding and the
+# plane-inertness table, telemetry writers, health detector, live server,
+# flight recorder, shadow checker) and the hot-path packages every run
+# crosses (event engine, DRAM scheduler, the concurrent reference-stream
+# prefetcher). They gate everything downstream and their tests are quick —
+# vet and race-test them first so a broken layer fails in seconds, not
+# after the full sweep-driven suite.
+fast_checks() {
+	fmt=$(gofmt -l .)
+	if [ -n "$fmt" ]; then
+		echo "gofmt: files need formatting:" >&2
+		echo "$fmt" >&2
+		exit 1
+	fi
+	pkgs="./internal/stats ./internal/mem ./internal/telemetry ./internal/manifest
+		./internal/health ./internal/telemetry/live ./internal/telemetry/exemplar
+		./internal/flightrec ./internal/shadow ./internal/dram ./internal/sim
+		./internal/workload"
+	# $pkgs stays unquoted: it splits into one argument per package.
+	go vet $pkgs
+	go test -race $pkgs
+}
+
+# Full-suite stage: vet and build every package, then run the whole test
+# suite under the race detector.
+full_tests() {
+	go vet ./...
+	go build ./...
+	go test -race ./...
+}
+
+case "${1:-all}" in
+fast) fast_checks ;;
+bench) bench_smoke ;;
+perf) perf_gate ;;
+live) live_smoke ;;
+postmortem) postmortem_smoke ;;
+exemplars) exemplars_smoke ;;
+history) history_smoke ;;
+perfbench) perfbench_tests ;;
+test) full_tests ;;
+all)
+	fast_checks
 	bench_smoke
-	exit 0
-fi
-if [ "${1:-}" = "perf" ]; then
 	perf_gate
-	exit 0
-fi
-if [ "${1:-}" = "live" ]; then
 	live_smoke
-	exit 0
-fi
-if [ "${1:-}" = "postmortem" ]; then
 	postmortem_smoke
-	exit 0
-fi
-if [ "${1:-}" = "exemplars" ]; then
 	exemplars_smoke
-	exit 0
-fi
-if [ "${1:-}" = "history" ]; then
 	history_smoke
-	exit 0
-fi
-if [ "${1:-}" = "perfbench" ]; then
 	perfbench_tests
-	exit 0
-fi
-
-fmt=$(gofmt -l .)
-if [ -n "$fmt" ]; then
-	echo "gofmt: files need formatting:" >&2
-	echo "$fmt" >&2
-	exit 1
-fi
-
-# Fast-fail stage: the observability packages (stats counters, memory-system
-# events and attribution, manifest encoding and the plane-inertness table,
-# telemetry writers, health detector, live server, flight recorder, shadow
-# checker) and the hot-path packages every run crosses (event engine, DRAM
-# scheduler, the concurrent reference-stream prefetcher) gate everything
-# downstream and their tests are quick — vet and race-test them first so a
-# broken layer fails in seconds, not after the full sweep-driven suite.
-go vet ./internal/stats ./internal/mem ./internal/telemetry ./internal/manifest \
-	./internal/health ./internal/telemetry/live ./internal/telemetry/exemplar \
-	./internal/flightrec ./internal/shadow ./internal/dram ./internal/sim \
-	./internal/workload
-go test -race ./internal/stats ./internal/mem ./internal/telemetry ./internal/manifest \
-	./internal/health ./internal/telemetry/live ./internal/telemetry/exemplar \
-	./internal/flightrec ./internal/shadow ./internal/dram ./internal/sim \
-	./internal/workload
-
-go vet ./...
-go build ./...
-bench_smoke
-perf_gate
-live_smoke
-postmortem_smoke
-exemplars_smoke
-history_smoke
-perfbench_tests
-go test -race ./...
+	full_tests
+	;;
+*)
+	echo "ci.sh: unknown stage '$1'" >&2
+	exit 2
+	;;
+esac

@@ -82,7 +82,8 @@ func main() {
 // sparkRunes maps a normalized series onto eight block heights.
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 
-// spark renders vals as a unicode sparkline normalized to its own max.
+// spark renders vals as a unicode sparkline normalized to its own max;
+// negative values (only a hand-edited bundle has them) draw at the floor.
 func spark(vals []float64) string {
 	var max float64
 	for _, v := range vals {
@@ -93,7 +94,7 @@ func spark(vals []float64) string {
 	var sb strings.Builder
 	for _, v := range vals {
 		i := 0
-		if max > 0 {
+		if max > 0 && v > 0 {
 			i = int(v / max * float64(len(sparkRunes)-1))
 		}
 		sb.WriteRune(sparkRunes[i])

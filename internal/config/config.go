@@ -365,5 +365,33 @@ func (d DRAMConfig) validate() error {
 	if d.RowBufferSize < memunits.SubblockSize {
 		return fmt.Errorf("config: %s row buffer %d B smaller than a %d B line", d.Name, d.RowBufferSize, memunits.SubblockSize)
 	}
+	return d.CheckQueueKey()
+}
+
+// QueueKeyBankBits is the width of the channel-local bank field in the
+// 8-byte key internal/dram packs each queued request into; the row index
+// takes the remaining 64-QueueKeyBankBits bits.
+const QueueKeyBankBits = 16
+
+// CheckQueueKey rejects geometry the DRAM request-queue key cannot hold:
+// more than 1<<QueueKeyBankBits banks per channel, or a capacity whose last
+// row index needs more than 64-QueueKeyBankBits bits. Lines interleave
+// across channels, then banks, then the columns of a row, as
+// internal/dram maps them. Zero geometry is left to Validate's other
+// checks.
+func (d DRAMConfig) CheckQueueKey() error {
+	banks := uint64(d.RanksPerChan) * uint64(d.BanksPerRank)
+	if banks > 1<<QueueKeyBankBits {
+		return fmt.Errorf("config: %s has %d banks per channel, beyond the %d-bit queue key field",
+			d.Name, banks, QueueKeyBankBits)
+	}
+	lines := d.RowBufferSize / memunits.SubblockSize
+	if d.Capacity == 0 || d.Channels <= 0 || banks == 0 || lines == 0 {
+		return nil
+	}
+	if row := (d.Capacity - 1) / memunits.SubblockSize / uint64(d.Channels) / banks / lines; row >= 1<<(64-QueueKeyBankBits) {
+		return fmt.Errorf("config: %s capacity %d needs row %d, beyond the %d-bit queue key field",
+			d.Name, d.Capacity, row, 64-QueueKeyBankBits)
+	}
 	return nil
 }

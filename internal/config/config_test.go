@@ -121,6 +121,12 @@ func TestValidateRejections(t *testing.T) {
 		{"zero FM bus clock", func(m *Machine) { m.FM.BusMHz = 0 }},
 		{"zero NM bus width", func(m *Machine) { m.NM.BusWidthBits = 0 }},
 		{"row buffer below a line", func(m *Machine) { m.FM.RowBufferSize = 32 }},
+		// Geometry beyond the DRAM queue key used to reach dram.New's panic.
+		{"banks beyond the queue key", func(m *Machine) { m.NM.RanksPerChan, m.NM.BanksPerRank = 2, 1<<16 }},
+		{"rows beyond the queue key", func(m *Machine) {
+			m.FM.Channels, m.FM.RanksPerChan, m.FM.BanksPerRank, m.FM.RowBufferSize = 1, 1, 1, 64
+			m.FM.Capacity = 1 << 60
+		}},
 	}
 	for _, c := range cases {
 		m := Default()
@@ -128,6 +134,30 @@ func TestValidateRejections(t *testing.T) {
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid config", c.name)
 		}
+	}
+}
+
+// TestQueueKeyLimitsAreInclusive: the largest geometry the queue key holds
+// passes, one bank or one row more does not.
+func TestQueueKeyLimitsAreInclusive(t *testing.T) {
+	d := DDR3(1 << 20)
+	d.RanksPerChan, d.BanksPerRank = 1, 1<<QueueKeyBankBits
+	if err := d.CheckQueueKey(); err != nil {
+		t.Errorf("%d banks per channel rejected: %v", 1<<QueueKeyBankBits, err)
+	}
+	d.RanksPerChan = 2
+	if d.CheckQueueKey() == nil {
+		t.Errorf("%d banks per channel accepted", 2<<QueueKeyBankBits)
+	}
+	d = DDR3(0)
+	d.Channels, d.RanksPerChan, d.BanksPerRank, d.RowBufferSize = 1, 1, 1, 64
+	d.Capacity = 64 << (64 - QueueKeyBankBits) // rows 0 .. 2^48-1
+	if err := d.CheckQueueKey(); err != nil {
+		t.Errorf("2^48 rows rejected: %v", err)
+	}
+	d.Capacity += 64
+	if d.CheckQueueKey() == nil {
+		t.Error("row 2^48 accepted")
 	}
 }
 

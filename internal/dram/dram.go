@@ -11,8 +11,6 @@
 package dram
 
 import (
-	"fmt"
-
 	"silcfm/internal/config"
 	"silcfm/internal/sim"
 )
@@ -123,9 +121,9 @@ type bankState struct {
 
 // Queue keys pack an op's scheduling coordinates into 8 bytes: the row
 // above keyBankBits, the channel-local bank below. New rejects geometries
-// that do not fit.
+// that do not fit (config.DRAMConfig.CheckQueueKey).
 const (
-	keyBankBits = 16
+	keyBankBits = config.QueueKeyBankBits
 	keyBankMask = 1<<keyBankBits - 1
 )
 
@@ -286,8 +284,8 @@ type Device struct {
 }
 
 // New builds a device on the given engine. It panics when the geometry does
-// not fit the 8-byte queue key: more than 1<<16 banks per channel, or a
-// capacity whose row index needs more than 48 bits.
+// not fit the 8-byte queue key (see config.DRAMConfig.CheckQueueKey), which
+// config.Machine.Validate rejects.
 func New(cfg config.DRAMConfig, eng *sim.Engine) *Device {
 	d := &Device{
 		Cfg:          cfg,
@@ -306,15 +304,8 @@ func New(cfg config.DRAMConfig, eng *sim.Engine) *Device {
 		// the bus streams; later arrivals still reorder within the window.
 		maxInflight: 2 * cfg.RanksPerChan * cfg.BanksPerRank,
 	}
-	if d.banksPerChan > keyBankMask+1 {
-		panic(fmt.Sprintf("dram: %d banks per channel exceed the %d-bit queue key field",
-			d.banksPerChan, keyBankBits))
-	}
-	if cfg.Capacity > 0 {
-		if _, _, row := d.mapAddr(cfg.Capacity - 1); row >= 1<<(64-keyBankBits) {
-			panic(fmt.Sprintf("dram: capacity %d needs row %d, beyond the %d-bit queue key field",
-				cfg.Capacity, row, 64-keyBankBits))
-		}
+	if err := cfg.CheckQueueKey(); err != nil {
+		panic(err)
 	}
 	d.chans = make([]channel, cfg.Channels)
 	for i := range d.chans {

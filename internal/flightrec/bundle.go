@@ -146,7 +146,8 @@ func (b *Bundle) Encode(w io.Writer) error {
 	return err
 }
 
-// Decode reads one bundle from r, rejecting unknown schemas.
+// Decode reads one bundle from r, rejecting unknown schemas and a
+// PreEpochs outside [0, len(Epochs)].
 func Decode(r io.Reader) (*Bundle, error) {
 	var b Bundle
 	dec := json.NewDecoder(r)
@@ -155,6 +156,11 @@ func Decode(r io.Reader) (*Bundle, error) {
 	}
 	if b.Schema != BundleSchema {
 		return nil, fmt.Errorf("flightrec: unsupported bundle schema %q (want %q)", b.Schema, BundleSchema)
+	}
+	// PreEpochs counts leading records of Epochs, and renderers index
+	// Epochs with it.
+	if b.PreEpochs < 0 || b.PreEpochs > len(b.Epochs) {
+		return nil, fmt.Errorf("flightrec: bundle pre_epochs %d outside [0, %d]", b.PreEpochs, len(b.Epochs))
 	}
 	return &b, nil
 }

@@ -24,28 +24,28 @@ import (
 	"silcfm/internal/telemetry/exemplar"
 )
 
-// Defaults for the zero Config.
+// The recorder's windows and bounds.
 const (
-	// DefaultHistoryEpochs is the pre-trigger epoch window kept in the
-	// history ring.
-	DefaultHistoryEpochs = 16
-	// DefaultTailEpochs is how many quiet epochs are captured after the
-	// last incident of a capture closes.
-	DefaultTailEpochs = 4
-	// DefaultEventRing bounds the movement-event ring (pre-trigger events).
-	DefaultEventRing = 4096
-	// DefaultMaxBundleEvents bounds the events captured while an incident
-	// is open (the ring excerpt plus live capture); overflow is counted.
-	DefaultMaxBundleEvents = 2048
-	// DefaultTopK is how many offender blocks each epoch snapshot keeps.
-	DefaultTopK = 8
-	// DefaultMaxBundles bounds bundles per run; captures past the cap are
-	// counted as dropped.
-	DefaultMaxBundles = 8
-	// DefaultMaxCaptureEpochs bounds one capture's epoch record (pre-window
+	// historyEpochs is the pre-trigger epoch window kept in the history
+	// ring.
+	historyEpochs = 16
+	// tailEpochs is how many quiet epochs are captured after the last
+	// incident of a capture closes.
+	tailEpochs = 4
+	// eventRing bounds the movement-event ring (pre-trigger events).
+	eventRing = 4096
+	// maxBundleEvents bounds the events captured while an incident is open
+	// (the ring excerpt plus live capture); overflow is counted.
+	maxBundleEvents = 2048
+	// topK is how many offender blocks each epoch snapshot keeps.
+	topK = 8
+	// maxBundles bounds bundles per run; captures past the cap are counted
+	// as dropped.
+	maxBundles = 8
+	// maxCaptureEpochs bounds one capture's epoch record (pre-window
 	// included) so a never-closing incident cannot grow a bundle without
 	// bound; later epochs are counted as dropped.
-	DefaultMaxCaptureEpochs = 256
+	maxCaptureEpochs = 256
 
 	// offenderTableSlots is the per-epoch offender table's open-addressing
 	// size, and offenderTableCap how many distinct blocks it keys: the
@@ -60,66 +60,11 @@ const (
 	offenderTableCap   = offenderTableSlots / 2
 )
 
-// Config tunes the recorder's windows and bounds. The zero value means
-// "defaults"; harness.Run attaches a recorder to every run unless Disabled
-// is set.
+// Config selects whether harness.Run attaches the recorder; the zero value
+// attaches it.
 type Config struct {
 	// Disabled turns the recorder off entirely.
 	Disabled bool
-	// HistoryEpochs is the pre-trigger window length (default 16).
-	HistoryEpochs int
-	// TailEpochs is the post-close capture tail (default 4).
-	TailEpochs int
-	// EventRing bounds the movement-event ring (default 4096).
-	EventRing int
-	// MaxBundleEvents bounds one bundle's event excerpt (default 2048).
-	MaxBundleEvents int
-	// TopK is the per-epoch offender table depth (default 8).
-	TopK int
-	// MaxBundles bounds bundles per run (default 8).
-	MaxBundles int
-	// MaxCaptureEpochs bounds one capture's epoch window (default 256).
-	MaxCaptureEpochs int
-	// OnBundle, when set, receives each finalized bundle on the simulation
-	// goroutine (the live registry attaches here). Bundles are immutable
-	// once emitted, so the callback may retain and share them freely.
-	OnBundle func(*Bundle)
-	// Exemplars, when set, is called at incident open to freeze the
-	// tail-latency exemplar reservoirs into the capture (the harness wires
-	// it to the exemplar recorder's Snapshot). The returned slice must be
-	// immutable.
-	Exemplars func() []exemplar.Exemplar
-}
-
-func (c Config) withDefaults() Config {
-	if c.HistoryEpochs <= 0 {
-		c.HistoryEpochs = DefaultHistoryEpochs
-	}
-	if c.TailEpochs <= 0 {
-		c.TailEpochs = DefaultTailEpochs
-	}
-	if c.EventRing <= 0 {
-		c.EventRing = DefaultEventRing
-	}
-	if c.MaxBundleEvents <= 0 {
-		c.MaxBundleEvents = DefaultMaxBundleEvents
-	}
-	if c.TopK <= 0 {
-		c.TopK = DefaultTopK
-	}
-	if c.TopK > offenderTableCap {
-		c.TopK = offenderTableCap
-	}
-	if c.MaxBundles <= 0 {
-		c.MaxBundles = DefaultMaxBundles
-	}
-	if c.MaxCaptureEpochs <= c.HistoryEpochs {
-		c.MaxCaptureEpochs = DefaultMaxCaptureEpochs
-		if c.MaxCaptureEpochs <= c.HistoryEpochs {
-			c.MaxCaptureEpochs = 2 * c.HistoryEpochs
-		}
-	}
-	return c
 }
 
 // event is the compact fixed-size ring form of one movement event.
@@ -170,11 +115,13 @@ type epochSlot struct {
 }
 
 // Recorder is one run's flight recorder. It implements mem.Observer for
-// the event feed, and is fed epoch state + health status by the harness's
-// OnEpoch chain (ObserveEpoch).
+// the event feed, and is fed epoch state + health status by harness.Run's
+// epoch sink (ObserveEpoch).
 // Not safe for concurrent use: everything runs on the simulation goroutine.
 type Recorder struct {
-	cfg Config
+	// exemplars, when non-nil, is frozen into each capture at incident
+	// open.
+	exemplars *exemplar.Recorder
 
 	// fingerprint/run identify the capture source, stamped into bundles.
 	fingerprint string
@@ -182,8 +129,8 @@ type Recorder struct {
 
 	kinds []string // health.Kinds(), index-aligned with slot rule traces
 
-	// Epoch history ring: last HistoryEpochs epochs, oldest at (head) when
-	// full. head is the next write position; n <= HistoryEpochs.
+	// Epoch history ring: last historyEpochs epochs, oldest at (head) when
+	// full. head is the next write position; n <= historyEpochs.
 	ring []epochSlot
 	head int
 	n    int
@@ -203,7 +150,7 @@ type Recorder struct {
 
 	cap          *capture
 	bundles      []*Bundle
-	dropped      int // captures refused past MaxBundles
+	dropped      int // captures refused past maxBundles
 	bundleAllocs int // monotone bundle sequence
 }
 
@@ -222,28 +169,29 @@ type capture struct {
 	exemplars  []exemplar.Exemplar // tail reservoirs frozen at open
 }
 
-// New builds a recorder with cfg's bounds (zero fields take the documented
-// defaults). fingerprint is the run's config fingerprint
+// New builds a recorder. exr, when non-nil, is the run's tail-exemplar
+// recorder: its reservoirs are frozen into each capture when the incident
+// opens. fingerprint is the run's config fingerprint
 // (harness.Spec.Fingerprint) and run its "<scheme>/<workload>" label; both
 // are stamped into every bundle. Returns nil when cfg.Disabled is set; all
 // Recorder methods are nil-safe.
-func New(cfg Config, fingerprint, run string) *Recorder {
+func New(cfg Config, exr *exemplar.Recorder, fingerprint, run string) *Recorder {
 	if cfg.Disabled {
 		return nil
 	}
 	r := &Recorder{
-		cfg:         cfg.withDefaults(),
+		exemplars:   exr,
 		fingerprint: fingerprint,
 		run:         run,
 		kinds:       health.Kinds(),
 	}
-	r.ring = make([]epochSlot, r.cfg.HistoryEpochs)
+	r.ring = make([]epochSlot, historyEpochs)
 	for i := range r.ring {
 		r.ring[i].ruleOpen = make([]bool, len(r.kinds))
 		r.ring[i].ruleSev = make([]float64, len(r.kinds))
-		r.ring[i].off = make([]Offender, r.cfg.TopK)
+		r.ring[i].off = make([]Offender, topK)
 	}
-	r.events = make([]event, r.cfg.EventRing)
+	r.events = make([]event, eventRing)
 	return r
 }
 
@@ -291,7 +239,7 @@ func (r *Recorder) push(ev event) {
 		r.evN++
 	}
 	if c := r.cap; c != nil {
-		if len(c.events) < r.cfg.MaxBundleEvents {
+		if len(c.events) < maxBundleEvents {
 			c.events = append(c.events, jsonEvent(&ev))
 		} else {
 			c.evDropped++
@@ -330,11 +278,12 @@ func (r *Recorder) bump(b, lat uint64) {
 
 // ObserveEpoch feeds one telemetry epoch boundary: the sample (with
 // gauges), the live cumulative attribution, and the health status for the
-// same boundary. Called by the harness's OnEpoch chain after the detector
-// has stepped.
-func (r *Recorder) ObserveEpoch(st telemetry.EpochState, hs health.Status) {
+// same boundary. Called by harness.Run's epoch sink after the detector has
+// stepped. It returns the bundle this boundary finalized, if any: bundles
+// are immutable once emitted, so the caller may retain and share it.
+func (r *Recorder) ObserveEpoch(st telemetry.EpochState, hs health.Status) *Bundle {
 	if r == nil || st.Sample == nil {
-		return
+		return nil
 	}
 	// Record the epoch into the history ring.
 	slot := &r.ring[r.head]
@@ -349,7 +298,7 @@ func (r *Recorder) ObserveEpoch(st telemetry.EpochState, hs health.Status) {
 
 	// Advance the capture state machine.
 	if c := r.cap; c != nil {
-		if len(c.epochs) < r.cfg.MaxCaptureEpochs {
+		if len(c.epochs) < maxCaptureEpochs {
 			c.epochs = append(c.epochs, recordOf(slot))
 		} else {
 			c.epDropped++
@@ -363,21 +312,22 @@ func (r *Recorder) ObserveEpoch(st telemetry.EpochState, hs health.Status) {
 		}
 		if len(hs.Open) == 0 {
 			c.quiet++
-			if c.quiet >= r.cfg.TailEpochs {
-				r.finalize(false)
+			if c.quiet >= tailEpochs {
+				return r.finalize(false)
 			}
 		} else {
 			c.quiet = 0
 		}
-		return
+		return nil
 	}
 	if len(hs.Opened) > 0 {
-		if len(r.bundles) >= r.cfg.MaxBundles {
+		if len(r.bundles) >= maxBundles {
 			r.dropped++
-			return
+			return nil
 		}
 		r.openCapture(st.Sample.Epoch, hs)
 	}
+	return nil
 }
 
 // fillSlot copies one epoch into a ring slot without allocating in steady
@@ -469,14 +419,12 @@ func (r *Recorder) openCapture(epoch uint64, hs health.Status) {
 	// Freeze the tail-exemplar reservoirs as they stood when the incident
 	// opened: the slow accesses that led INTO the incident, not the ones
 	// that followed it.
-	if r.cfg.Exemplars != nil {
-		c.exemplars = r.cfg.Exemplars()
-	}
+	c.exemplars = r.exemplars.Snapshot()
 	for _, in := range hs.Open {
 		c.openKinds[in.Kind] = true
 	}
 	c.preEpochs = r.n - 1
-	c.epochs = make([]EpochRecord, 0, r.n+r.cfg.TailEpochs+4)
+	c.epochs = make([]EpochRecord, 0, r.n+tailEpochs+4)
 	// Oldest-first walk of the ring.
 	start := r.head - r.n
 	if start < 0 {
@@ -495,20 +443,20 @@ func (r *Recorder) openCapture(epoch uint64, hs health.Status) {
 		c.firstEpoch = epoch
 	}
 	// Pre-trigger events: the ring excerpt inside the pre-window's cycle
-	// span, oldest first, bounded by MaxBundleEvents (newest kept — the
+	// span, oldest first, bounded by maxBundleEvents (newest kept — the
 	// events nearest the trigger explain it best).
 	var firstCycle uint64
 	if len(c.epochs) > 0 {
 		firstCycle = c.epochs[0].Sample.Cycle - c.epochs[0].Sample.SpanCycles
 	}
-	c.events = make([]EventRecord, 0, r.cfg.MaxBundleEvents)
+	c.events = make([]EventRecord, 0, maxBundleEvents)
 	evStart := r.evHead - r.evN
 	if evStart < 0 {
 		evStart += len(r.events)
 	}
 	skip := 0
-	if r.evN > r.cfg.MaxBundleEvents {
-		skip = r.evN - r.cfg.MaxBundleEvents
+	if r.evN > maxBundleEvents {
+		skip = r.evN - maxBundleEvents
 	}
 	for i := 0; i < r.evN; i++ {
 		j := evStart + i
@@ -529,12 +477,13 @@ func (r *Recorder) openCapture(epoch uint64, hs health.Status) {
 	r.cap = c
 }
 
-// finalize closes the active capture into a Bundle. forced marks an
-// end-of-run flush with incidents still open.
-func (r *Recorder) finalize(forced bool) {
+// finalize closes the active capture into a Bundle and returns it (nil
+// when no capture is active). forced marks an end-of-run flush with
+// incidents still open.
+func (r *Recorder) finalize(forced bool) *Bundle {
 	c := r.cap
 	if c == nil {
-		return
+		return nil
 	}
 	r.cap = nil
 	b := &Bundle{
@@ -565,11 +514,9 @@ func (r *Recorder) finalize(forced bool) {
 		}
 	}
 	b.Rules = r.ruleTraces(c.epochs)
-	b.Offenders = aggregateOffenders(c.epochs, r.cfg.TopK)
+	b.Offenders = aggregateOffenders(c.epochs, topK)
 	r.bundles = append(r.bundles, b)
-	if r.cfg.OnBundle != nil {
-		r.cfg.OnBundle(b)
-	}
+	return b
 }
 
 // ruleTraces reduces the per-epoch rule columns into one trace per rule
@@ -709,7 +656,7 @@ func (r *Recorder) Bundles() []*Bundle {
 	return append([]*Bundle(nil), r.bundles...)
 }
 
-// DroppedCaptures reports incident opens refused because MaxBundles was
+// DroppedCaptures reports incident opens refused because maxBundles was
 // already reached.
 func (r *Recorder) DroppedCaptures() int {
 	if r == nil {

@@ -2,6 +2,7 @@ package flightrec_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,9 +17,9 @@ import (
 
 // newRec builds a recorder for the synthetic tests, which feed events and
 // epochs directly; no simulation runs.
-func newRec(t *testing.T, cfg flightrec.Config) *flightrec.Recorder {
+func newRec(t *testing.T) *flightrec.Recorder {
 	t.Helper()
-	r := flightrec.New(cfg, "test-fp", "test/run")
+	r := flightrec.New(flightrec.Config{}, nil, "test-fp", "test/run")
 	if r == nil {
 		t.Fatal("New returned nil for an enabled config")
 	}
@@ -98,26 +99,39 @@ func TestNilRecorderIsSafe(t *testing.T) {
 }
 
 func TestDisabledConfigReturnsNil(t *testing.T) {
-	r := flightrec.New(flightrec.Config{Disabled: true}, "fp", "run")
+	r := flightrec.New(flightrec.Config{Disabled: true}, nil, "fp", "run")
 	if r != nil {
 		t.Fatal("New with Disabled returned a live recorder")
 	}
 }
 
+// Shorthands for the recorder's bounds.
+const (
+	H = flightrec.HistoryEpochs
+	T = flightrec.TailEpochs
+)
+
 // TestCaptureLifecycle walks the full state machine: history fills, an
 // incident opens (freezing the ring as the pre-window), stays open, closes,
 // and the tail countdown finalizes an unforced bundle.
 func TestCaptureLifecycle(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 4, TailEpochs: 2})
-	feed(r, 0, 5) // ring now holds epochs 1-4
-	trigger(r, health.KindSwapThrash, 5)
-	// Open through epoch 6, closed at 7, quiet 7 and 8 -> finalize at 8.
-	open := incident(health.KindSwapThrash, 5)
-	r.ObserveEpoch(epochState(6), health.Status{Open: []health.Incident{open}})
+	r := newRec(t)
+	feed(r, 0, H+1) // ring now holds epochs 1..H
+	const e0 = H + 1
+	trigger(r, health.KindSwapThrash, e0)
+	// Open through e0+1, closed at e0+2, quiet e0+2..e0+T+1 -> finalize.
+	open := incident(health.KindSwapThrash, e0)
+	r.ObserveEpoch(epochState(e0+1), health.Status{Open: []health.Incident{open}})
 	closed := open
-	closed.LastEpoch = 7
-	r.ObserveEpoch(epochState(7), health.Status{Closed: []health.Incident{closed}})
-	r.ObserveEpoch(epochState(8), health.Status{})
+	closed.LastEpoch = e0 + 2
+	r.ObserveEpoch(epochState(e0+2), health.Status{Closed: []health.Incident{closed}})
+	feed(r, e0+3, e0+T+1)
+	if n := len(r.Bundles()); n != 0 {
+		t.Fatalf("got %d bundles one epoch before the tail ends, want 0", n)
+	}
+	if b := r.ObserveEpoch(epochState(e0+T+1), health.Status{}); b == nil {
+		t.Fatal("the tail's last epoch returned no bundle")
+	}
 
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
@@ -127,20 +141,20 @@ func TestCaptureLifecycle(t *testing.T) {
 	if b.Trigger != health.KindSwapThrash || b.Forced {
 		t.Errorf("trigger=%q forced=%v, want %q unforced", b.Trigger, b.Forced, health.KindSwapThrash)
 	}
-	// Ring held epochs 2-5 at trigger time (capacity 4, trigger included).
-	if b.PreEpochs != 3 || b.FirstEpoch != 2 || b.LastEpoch != 8 {
-		t.Errorf("window pre=%d epochs %d-%d, want pre=3 epochs 2-8", b.PreEpochs, b.FirstEpoch, b.LastEpoch)
+	// Ring held epochs 2..e0 at trigger time (capacity H, trigger included).
+	if b.PreEpochs != H-1 || b.FirstEpoch != 2 || b.LastEpoch != e0+T+1 {
+		t.Errorf("window pre=%d epochs %d-%d, want pre=%d epochs 2-%d", b.PreEpochs, b.FirstEpoch, b.LastEpoch, H-1, e0+T+1)
 	}
-	if b.FirstCycle != 2000 || b.LastCycle != 9000 {
-		t.Errorf("cycles %d-%d, want 2000-9000", b.FirstCycle, b.LastCycle)
+	if b.FirstCycle != 2000 || b.LastCycle != (e0+T+2)*1000 {
+		t.Errorf("cycles %d-%d, want 2000-%d", b.FirstCycle, b.LastCycle, (e0+T+2)*1000)
 	}
-	if len(b.Epochs) != 7 {
-		t.Errorf("captured %d epochs, want 7 (4 ring + 6,7,8)", len(b.Epochs))
+	if len(b.Epochs) != H+1+T {
+		t.Errorf("captured %d epochs, want %d (ring, open epoch, tail)", len(b.Epochs), H+1+T)
 	}
-	if b.Epochs[b.PreEpochs].Sample.Epoch != 5 {
-		t.Errorf("trigger record is epoch %d, want 5", b.Epochs[b.PreEpochs].Sample.Epoch)
+	if b.Epochs[b.PreEpochs].Sample.Epoch != e0 {
+		t.Errorf("trigger record is epoch %d, want %d", b.Epochs[b.PreEpochs].Sample.Epoch, e0)
 	}
-	if len(b.Incidents) != 1 || b.Incidents[0].LastEpoch != 7 {
+	if len(b.Incidents) != 1 || b.Incidents[0].LastEpoch != e0+2 {
 		t.Errorf("incidents = %+v, want the one closed record", b.Incidents)
 	}
 	if len(b.OpenKinds) != 0 {
@@ -155,44 +169,44 @@ func TestCaptureLifecycle(t *testing.T) {
 	}
 }
 
-// TestRingCapacityOne is the tightest boundary: a one-slot history ring
-// means the trigger epoch is the whole window and there is no pre-history.
+// TestRingCapacityOne is the tightest boundary: an incident at the run's
+// first epoch finds a ring holding that one epoch, so the trigger epoch
+// is the whole window and there is no pre-history.
 func TestRingCapacityOne(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 1, TailEpochs: 1})
-	feed(r, 0, 5)
-	trigger(r, health.KindLockChurn, 5)
-	r.ObserveEpoch(epochState(6), health.Status{})
+	r := newRec(t)
+	trigger(r, health.KindLockChurn, 0)
+	feed(r, 1, T+1)
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
 	b := bundles[0]
-	if b.PreEpochs != 0 || b.FirstEpoch != 5 {
-		t.Errorf("pre=%d first=%d, want pre=0 first=5", b.PreEpochs, b.FirstEpoch)
+	if b.PreEpochs != 0 || b.FirstEpoch != 0 {
+		t.Errorf("pre=%d first=%d, want pre=0 first=0", b.PreEpochs, b.FirstEpoch)
 	}
-	if len(b.Epochs) != 2 || b.Epochs[0].Sample.Epoch != 5 {
-		t.Errorf("epochs = %d starting at %d, want 2 starting at 5", len(b.Epochs), b.Epochs[0].Sample.Epoch)
+	if len(b.Epochs) != 1+T || b.Epochs[0].Sample.Epoch != 0 {
+		t.Errorf("epochs = %d starting at %d, want %d starting at 0", len(b.Epochs), b.Epochs[0].Sample.Epoch, 1+T)
 	}
 }
 
 // TestPreWindowShorterThanHistory: an incident in the run's first epochs
 // must capture only what exists, not a full ring of stale slots.
 func TestPreWindowShorterThanHistory(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 16, TailEpochs: 1})
+	r := newRec(t)
 	feed(r, 0, 2)
 	trigger(r, health.KindQueueSaturation, 2)
-	r.ObserveEpoch(epochState(3), health.Status{})
+	feed(r, 3, 3+T)
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
 	b := bundles[0]
-	if b.PreEpochs != 2 || b.FirstEpoch != 0 || len(b.Epochs) != 4 {
-		t.Errorf("pre=%d first=%d n=%d, want pre=2 first=0 n=4", b.PreEpochs, b.FirstEpoch, len(b.Epochs))
+	if b.PreEpochs != 2 || b.FirstEpoch != 0 || len(b.Epochs) != 3+T {
+		t.Errorf("pre=%d first=%d n=%d, want pre=2 first=0 n=%d", b.PreEpochs, b.FirstEpoch, len(b.Epochs), 3+T)
 	}
 	for i := range b.Epochs {
 		if b.Epochs[i].Sample.Epoch != uint64(i) {
-			t.Fatalf("epoch record %d holds epoch %d, want oldest-first 0,1,2,3", i, b.Epochs[i].Sample.Epoch)
+			t.Fatalf("epoch record %d holds epoch %d, want oldest-first 0,1,2,...", i, b.Epochs[i].Sample.Epoch)
 		}
 	}
 }
@@ -201,19 +215,19 @@ func TestPreWindowShorterThanHistory(t *testing.T) {
 // triggering, so head has wrapped back to zero: the oldest-first walk must
 // still produce strictly increasing epochs.
 func TestRingExactWrap(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 4, TailEpochs: 1})
-	feed(r, 0, 8) // two full revolutions; head back at slot 0
-	trigger(r, health.KindSwapThrash, 8)
-	r.ObserveEpoch(epochState(9), health.Status{})
+	r := newRec(t)
+	feed(r, 0, 2*H) // two full revolutions; head back at slot 0
+	trigger(r, health.KindSwapThrash, 2*H)
+	feed(r, 2*H+1, 2*H+1+T)
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
 	b := bundles[0]
-	if b.PreEpochs != 3 || b.FirstEpoch != 5 {
-		t.Errorf("pre=%d first=%d, want pre=3 first=5", b.PreEpochs, b.FirstEpoch)
+	if b.PreEpochs != H-1 || b.FirstEpoch != H+1 {
+		t.Errorf("pre=%d first=%d, want pre=%d first=%d", b.PreEpochs, b.FirstEpoch, H-1, H+1)
 	}
-	want := uint64(5)
+	want := uint64(H + 1)
 	for i := range b.Epochs {
 		if b.Epochs[i].Sample.Epoch != want {
 			t.Fatalf("epoch record %d holds epoch %d, want %d", i, b.Epochs[i].Sample.Epoch, want)
@@ -222,16 +236,16 @@ func TestRingExactWrap(t *testing.T) {
 	}
 	// Each record owns its gauges: ring reuse after capture must not reach
 	// into an emitted bundle.
-	feed(r, 10, 20)
-	if g := b.Epochs[0].Sample.Gauges[0].Value; g != 5 {
-		t.Errorf("bundle gauge mutated to %v after ring reuse, want 5", g)
+	feed(r, 2*H+1+T, 4*H)
+	if g := b.Epochs[0].Sample.Gauges[0].Value; g != H+1 {
+		t.Errorf("bundle gauge mutated to %v after ring reuse, want %d", g, H+1)
 	}
 }
 
 // TestForcedFlushAtFinish: a capture still in flight at end of run becomes
 // a forced bundle naming the still-open kinds in detector order.
 func TestForcedFlushAtFinish(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 4})
+	r := newRec(t)
 	feed(r, 0, 3)
 	trigger(r, health.KindSwapThrash, 3)
 	open := []health.Incident{incident(health.KindSwapThrash, 3), incident(health.KindQueueSaturation, 4)}
@@ -250,58 +264,88 @@ func TestForcedFlushAtFinish(t *testing.T) {
 	}
 }
 
+// TestCaptureEpochBound: an incident that never closes stops growing its
+// capture at MaxCaptureEpochs records and counts the rest as dropped.
+func TestCaptureEpochBound(t *testing.T) {
+	r := newRec(t)
+	trigger(r, health.KindQueueSaturation, 0)
+	open := []health.Incident{incident(health.KindQueueSaturation, 0)}
+	const extra = 10
+	for e := uint64(1); e < flightrec.MaxCaptureEpochs+extra; e++ {
+		r.ObserveEpoch(epochState(e), health.Status{Open: open})
+	}
+	out := r.Finish()
+	if len(out) != 1 {
+		t.Fatalf("Finish returned %d bundles, want 1 forced", len(out))
+	}
+	b := out[0]
+	if len(b.Epochs) != flightrec.MaxCaptureEpochs || b.EpochsDropped != extra {
+		t.Errorf("captured %d epochs with %d dropped, want %d and %d",
+			len(b.Epochs), b.EpochsDropped, flightrec.MaxCaptureEpochs, extra)
+	}
+}
+
 // TestMaxBundlesDropsLaterCaptures: opens past the bundle cap are refused
 // and counted, never silently captured.
 func TestMaxBundlesDropsLaterCaptures(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 2, TailEpochs: 1, MaxBundles: 1})
-	trigger(r, health.KindSwapThrash, 0)
-	r.ObserveEpoch(epochState(1), health.Status{}) // tail -> bundle 0
-	trigger(r, health.KindSwapThrash, 2)           // refused: cap reached
-	r.ObserveEpoch(epochState(3), health.Status{})
-	if n := len(r.Bundles()); n != 1 {
-		t.Errorf("got %d bundles, want 1", n)
+	r := newRec(t)
+	e := uint64(0)
+	for i := 0; i < flightrec.MaxBundles; i++ {
+		trigger(r, health.KindSwapThrash, e)
+		feed(r, e+1, e+1+T) // tail -> bundle i
+		e += 1 + T
+	}
+	trigger(r, health.KindSwapThrash, e) // refused: cap reached
+	feed(r, e+1, e+1+T)
+	if n := len(r.Bundles()); n != flightrec.MaxBundles {
+		t.Errorf("got %d bundles, want %d", n, flightrec.MaxBundles)
 	}
 	if d := r.DroppedCaptures(); d != 1 {
 		t.Errorf("DroppedCaptures = %d, want 1", d)
 	}
 }
 
-// TestEventExcerptBounds: the pre-trigger excerpt keeps the newest events
-// when the ring holds more than MaxBundleEvents, and during-capture
-// overflow is counted rather than grown.
+// TestEventExcerptBounds: the movement ring keeps the newest EventRing
+// events, the pre-trigger excerpt keeps the newest MaxBundleEvents of
+// those, and during-capture overflow is counted rather than grown.
 func TestEventExcerptBounds(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 2, TailEpochs: 1, MaxBundleEvents: 4})
-	for i := uint64(0); i < 10; i++ {
+	r := newRec(t)
+	const pushed = flightrec.EventRing + 6
+	for i := uint64(0); i < pushed; i++ {
 		lock(r, i, 100+i, false) // engine never advances: all at cycle 0
 	}
 	trigger(r, health.KindLockChurn, 0) // epoch 0 spans cycle 0: all in window
 	for i := uint64(0); i < 3; i++ {
 		unlock(r, i, 100+i) // during capture, but the excerpt is already full
 	}
-	r.ObserveEpoch(epochState(1), health.Status{})
+	feed(r, 1, 1+T)
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
 	b := bundles[0]
-	if len(b.Events) != 4 {
-		t.Fatalf("excerpt holds %d events, want 4", len(b.Events))
+	if len(b.Events) != flightrec.MaxBundleEvents {
+		t.Fatalf("excerpt holds %d events, want %d", len(b.Events), flightrec.MaxBundleEvents)
 	}
-	// Newest pre-trigger events kept: locks of frames 6-9.
+	// Newest pre-trigger events kept: locks of the last MaxBundleEvents
+	// frames.
+	first := uint64(pushed - flightrec.MaxBundleEvents)
 	for i, ev := range b.Events {
-		if ev.Kind != "lock" || ev.Src != uint64(6+i) {
-			t.Errorf("event %d = %+v, want lock frame %d", i, ev, 6+i)
+		if ev.Kind != "lock" || ev.Src != first+uint64(i) {
+			t.Fatalf("event %d = %+v, want lock frame %d", i, ev, first+uint64(i))
 		}
 	}
-	if b.EventsDropped != 9 { // 6 older pre-trigger + 3 during-capture
-		t.Errorf("EventsDropped = %d, want 9", b.EventsDropped)
+	// The ring held only EventRing of the pushed events; of those, the
+	// older ones beyond the excerpt and the 3 during-capture unlocks drop.
+	if want := uint64(flightrec.EventRing - flightrec.MaxBundleEvents + 3); b.EventsDropped != want {
+		t.Errorf("EventsDropped = %d, want %d", b.EventsDropped, want)
 	}
 }
 
 // TestOffenderTopK: per-epoch top-K selection is count desc then block asc,
 // and the table resets between epochs.
 func TestOffenderTopK(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 2, TailEpochs: 1, TopK: 3})
+	r := newRec(t)
 	hit := func(block, times uint64) {
 		a := &mem.Access{PAddr: block << 11}
 		for i := uint64(0); i < times; i++ {
@@ -311,10 +355,14 @@ func TestOffenderTopK(t *testing.T) {
 	hit(7, 5)
 	hit(3, 5) // ties block 7 on count; lower block ranks first
 	hit(9, 9)
-	hit(1, 1) // squeezed out of the top 3
+	// TopK-3 blocks tied at 2 demands, fed in descending block order.
+	for b := uint64(20 + flightrec.TopK - 4); b >= 20; b-- {
+		hit(b, 2)
+	}
+	hit(1, 1) // squeezed out of the top K
 	trigger(r, health.KindSwapThrash, 0)
 	hit(42, 2) // next epoch's table starts clean
-	r.ObserveEpoch(epochState(1), health.Status{})
+	feed(r, 1, 1+T)
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
@@ -326,24 +374,22 @@ func TestOffenderTopK(t *testing.T) {
 		{Block: 3, Demands: 5, LatCycles: 500},
 		{Block: 7, Demands: 5, LatCycles: 500},
 	}
-	if len(ep0.Offenders) != len(want) {
+	for b := uint64(20); len(want) < flightrec.TopK; b++ {
+		want = append(want, flightrec.Offender{Block: b, Demands: 2, LatCycles: 200})
+	}
+	if !reflect.DeepEqual(ep0.Offenders, want) {
 		t.Fatalf("epoch 0 offenders = %+v, want %+v", ep0.Offenders, want)
 	}
-	for i := range want {
-		if ep0.Offenders[i] != want[i] {
-			t.Errorf("epoch 0 offender %d = %+v, want %+v", i, ep0.Offenders[i], want[i])
-		}
-	}
-	if ep0.OffenderBlocks != 4 {
-		t.Errorf("epoch 0 distinct blocks = %d, want 4", ep0.OffenderBlocks)
+	if ep0.OffenderBlocks != flightrec.TopK+1 {
+		t.Errorf("epoch 0 distinct blocks = %d, want %d", ep0.OffenderBlocks, flightrec.TopK+1)
 	}
 	ep1 := b.Epochs[1]
 	if len(ep1.Offenders) != 1 || ep1.Offenders[0].Block != 42 {
 		t.Errorf("epoch 1 offenders = %+v, want only block 42 (table not cleared?)", ep1.Offenders)
 	}
-	// Window-wide aggregation merges both epochs.
-	if len(b.Offenders) == 0 || b.Offenders[0].Block != 9 {
-		t.Errorf("window offenders = %+v, want block 9 first", b.Offenders)
+	// Window-wide aggregation merges every epoch and keeps the top K.
+	if len(b.Offenders) != flightrec.TopK || b.Offenders[0].Block != 9 {
+		t.Errorf("window offenders = %+v, want %d with block 9 first", b.Offenders, flightrec.TopK)
 	}
 }
 
@@ -352,12 +398,12 @@ func TestOffenderTopK(t *testing.T) {
 // buffers have warmed up — the recorder is always on, so its steady state
 // rides the simulation inner loop.
 func TestSteadyStateObserveDoesNotAllocate(t *testing.T) {
-	r := newRec(t, flightrec.Config{})
+	r := newRec(t)
 	st := epochState(0)
 	attr := &stats.Attribution{}
 	st.Attr = attr
-	feed(r, 0, 32) // warm the gauge buffers through a full ring revolution
-	epoch := uint64(32)
+	feed(r, 0, 2*H) // warm the gauge buffers through a full ring revolution
+	epoch := uint64(2 * H)
 	avg := testing.AllocsPerRun(200, func() {
 		st.Sample.Epoch = epoch
 		st.Sample.Cycle = (epoch + 1) * 1000
@@ -382,7 +428,7 @@ func TestSteadyStateObserveDoesNotAllocate(t *testing.T) {
 // byte-identical bundles, and the encoding round-trips through Decode.
 func TestSyntheticBundleDeterminism(t *testing.T) {
 	mk := func() *flightrec.Bundle {
-		r := newRec(t, flightrec.Config{HistoryEpochs: 4, TailEpochs: 2})
+		r := newRec(t)
 		for i := uint64(0); i < 6; i++ {
 			lock(r, i, 200+i, i%2 == 0)
 			complete(r, &mem.Access{PAddr: (300 + i) << 11}, stats.PathFM, 80+i)

@@ -133,94 +133,91 @@ func (m *refOffenders) top(k int) []flightrec.Offender {
 	return out
 }
 
-// offenderAdmitCap is the number of distinct blocks one epoch's offender
-// table keys; later blocks are counted as dropped.
-const offenderAdmitCap = 1024
-
 // TestOffenderTableMatchesReference feeds epochs that overflow the offender
 // table (more than 1024 distinct blocks, repeats, re-hits of admitted
 // blocks after the table filled and re-hits of dropped blocks) plus one
 // epoch that does not, and requires every epoch's Offenders,
 // OffenderBlocks and OffendersDropped to equal the naive reference.
 func TestOffenderTableMatchesReference(t *testing.T) {
-	for _, topK := range []int{flightrec.DefaultTopK, offenderAdmitCap} {
-		r := newRec(t, flightrec.Config{HistoryEpochs: 4, TailEpochs: 1, TopK: topK})
-		rng := rand.New(rand.NewSource(int64(topK)))
-		var refs []*refOffenders
-		hit := func(ref *refOffenders, block uint64) {
-			lat := uint64(20 + rng.Intn(500))
-			complete(r, &mem.Access{PAddr: block << 11}, stats.PathFM, lat)
-			ref.bump(block, lat)
-		}
-		// distinct blocks per epoch: saturated, saturated, under the cap.
-		for e, distinct := range []int{3000, 1500, 700} {
-			ref := newRefOffenders(offenderAdmitCap)
-			blocks := make([]uint64, distinct)
-			for i := range blocks {
-				// Sparse blocks plus a dense run, so hash clusters form.
-				if i%3 == 0 {
-					blocks[i] = uint64(e)<<20 + uint64(i)
-				} else {
-					blocks[i] = uint64(rng.Int63n(1 << 36))
-				}
-			}
-			for _, b := range blocks { // first touch, in order
-				hit(ref, b)
-			}
-			for i := 0; i < 4*distinct; i++ { // skewed repeats across all
-				j := rng.Intn(distinct)
-				if rng.Intn(2) == 0 {
-					j = rng.Intn(1 + distinct/16)
-				}
-				hit(ref, blocks[j])
-			}
-			// Late re-hits: the first and last admitted, the first dropped.
-			for i := 0; i < 7; i++ {
-				hit(ref, blocks[0])
-				hit(ref, blocks[min(distinct, offenderAdmitCap)-1])
-				if distinct > offenderAdmitCap {
-					hit(ref, blocks[offenderAdmitCap])
-				}
-			}
-			refs = append(refs, ref)
-			if e < 2 {
-				feed(r, uint64(e), uint64(e)+1)
+	const offenderAdmitCap = flightrec.OffenderAdmitCap
+	topK := flightrec.TopK
+	r := newRec(t)
+	rng := rand.New(rand.NewSource(int64(topK)))
+	var refs []*refOffenders
+	hit := func(ref *refOffenders, block uint64) {
+		lat := uint64(20 + rng.Intn(500))
+		complete(r, &mem.Access{PAddr: block << 11}, stats.PathFM, lat)
+		ref.bump(block, lat)
+	}
+	// distinct blocks per epoch: saturated, saturated, under the cap.
+	for e, distinct := range []int{3000, 1500, 700} {
+		ref := newRefOffenders(offenderAdmitCap)
+		blocks := make([]uint64, distinct)
+		for i := range blocks {
+			// Sparse blocks plus a dense run, so hash clusters form.
+			if i%3 == 0 {
+				blocks[i] = uint64(e)<<20 + uint64(i)
 			} else {
-				trigger(r, health.KindSwapThrash, uint64(e))
+				blocks[i] = uint64(rng.Int63n(1 << 36))
 			}
 		}
-		bundles := r.Finish()
-		if len(bundles) != 1 {
-			t.Fatalf("TopK %d: got %d bundles, want 1", topK, len(bundles))
+		for _, b := range blocks { // first touch, in order
+			hit(ref, b)
 		}
-		eps := bundles[0].Epochs
-		if len(eps) != len(refs) {
-			t.Fatalf("TopK %d: bundle holds %d epochs, want %d", topK, len(eps), len(refs))
+		for i := 0; i < 4*distinct; i++ { // skewed repeats across all
+			j := rng.Intn(distinct)
+			if rng.Intn(2) == 0 {
+				j = rng.Intn(1 + distinct/16)
+			}
+			hit(ref, blocks[j])
 		}
-		for e, ref := range refs {
-			ep := eps[e]
-			if want := len(ref.sum); ep.OffenderBlocks != want {
-				t.Errorf("TopK %d epoch %d: OffenderBlocks = %d, want %d", topK, e, ep.OffenderBlocks, want)
-			}
-			if ep.OffendersDropped != ref.dropped {
-				t.Errorf("TopK %d epoch %d: OffendersDropped = %d, want %d", topK, e, ep.OffendersDropped, ref.dropped)
-			}
-			if want := ref.top(topK); !reflect.DeepEqual(ep.Offenders, want) {
-				t.Errorf("TopK %d epoch %d: Offenders differ from the reference\ngot  %v\nwant %v",
-					topK, e, ep.Offenders, want)
+		// Late re-hits: the first and last admitted, the first dropped.
+		for i := 0; i < 7; i++ {
+			hit(ref, blocks[0])
+			hit(ref, blocks[min(distinct, offenderAdmitCap)-1])
+			if distinct > offenderAdmitCap {
+				hit(ref, blocks[offenderAdmitCap])
 			}
 		}
-		if refs[0].dropped == 0 || refs[2].dropped != 0 {
-			t.Fatalf("TopK %d: stream shape wrong: dropped %d (saturated) / %d (under cap)",
-				topK, refs[0].dropped, refs[2].dropped)
+		refs = append(refs, ref)
+		if e < 2 {
+			feed(r, uint64(e), uint64(e)+1)
+		} else {
+			trigger(r, health.KindSwapThrash, uint64(e))
 		}
+	}
+	bundles := r.Finish()
+	if len(bundles) != 1 {
+		t.Fatalf("TopK %d: got %d bundles, want 1", topK, len(bundles))
+	}
+	eps := bundles[0].Epochs
+	if len(eps) != len(refs) {
+		t.Fatalf("TopK %d: bundle holds %d epochs, want %d", topK, len(eps), len(refs))
+	}
+	for e, ref := range refs {
+		ep := eps[e]
+		if want := len(ref.sum); ep.OffenderBlocks != want {
+			t.Errorf("TopK %d epoch %d: OffenderBlocks = %d, want %d", topK, e, ep.OffenderBlocks, want)
+		}
+		if ep.OffendersDropped != ref.dropped {
+			t.Errorf("TopK %d epoch %d: OffendersDropped = %d, want %d", topK, e, ep.OffendersDropped, ref.dropped)
+		}
+		if want := ref.top(topK); !reflect.DeepEqual(ep.Offenders, want) {
+			t.Errorf("TopK %d epoch %d: Offenders differ from the reference\ngot  %v\nwant %v",
+				topK, e, ep.Offenders, want)
+		}
+	}
+	if refs[0].dropped == 0 || refs[2].dropped != 0 {
+		t.Fatalf("TopK %d: stream shape wrong: dropped %d (saturated) / %d (under cap)",
+			topK, refs[0].dropped, refs[2].dropped)
 	}
 }
 
 // TestSaturatedBumpDoesNotAllocate: charging demands to a full offender
 // table — admitted blocks and refused ones alike — allocates nothing.
 func TestSaturatedBumpDoesNotAllocate(t *testing.T) {
-	r := newRec(t, flightrec.Config{})
+	const offenderAdmitCap = flightrec.OffenderAdmitCap
+	r := newRec(t)
 	for b := uint64(0); b < 2*offenderAdmitCap; b++ {
 		complete(r, &mem.Access{PAddr: b << 11}, stats.PathNMHit, 10)
 	}
@@ -239,7 +236,7 @@ func TestSaturatedBumpDoesNotAllocate(t *testing.T) {
 // to one epoch's offender table, so three of four blocks are refused: the
 // per-demand cost of a table mcf fills every epoch.
 func BenchmarkRecorderBumpSaturated(b *testing.B) {
-	r := flightrec.New(flightrec.Config{}, "bench-fp", "bench/run")
+	r := flightrec.New(flightrec.Config{}, nil, "bench-fp", "bench/run")
 	rng := rand.New(rand.NewSource(1))
 	accs := make([]mem.Access, 4096)
 	for i := range accs {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"silcfm/internal/config"
-	"silcfm/internal/health"
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry"
 	"silcfm/internal/telemetry/live"
@@ -208,7 +207,6 @@ func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
 			if cfg.Telemetry != nil {
 				tcfg = cfg.Telemetry(label, j.wl)
 			}
-			runID := label + "/" + j.wl
 			r, err := Run(Spec{
 				Machine:           j.mach,
 				Workload:          j.wl,
@@ -218,14 +216,12 @@ func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
 				FootScaleDen:      cfg.FootScaleDen,
 				ShadowCheck:       cfg.ShadowCheck,
 				Telemetry:         tcfg,
-				Publish:           cfg.Live.Hook(runID),
+				Live:              cfg.Live.Run(label + "/" + j.wl),
 			})
 			closeTelemetry(tcfg)
-			var final []health.Incident
-			if r != nil {
-				final = r.Health
+			if err == nil {
+				err = r.Err()
 			}
-			cfg.Live.Done(runID, final)
 			mu.Lock()
 			defer mu.Unlock()
 			if cfg.Progress != nil {
@@ -239,18 +235,6 @@ func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("%s/%s: %w", j.label, j.wl, err)
 				}
-				return
-			}
-			if r.AuditErr != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%s/%s: %w", j.label, j.wl, r.AuditErr)
-				return
-			}
-			if r.ShadowErr != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%s/%s: %w", j.label, j.wl, r.ShadowErr)
-				return
-			}
-			if r.ConservationErr != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%s/%s: %w", j.label, j.wl, r.ConservationErr)
 				return
 			}
 			if j.label == "" {

@@ -5,6 +5,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -27,6 +28,7 @@ import (
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry"
 	"silcfm/internal/telemetry/exemplar"
+	"silcfm/internal/telemetry/live"
 	"silcfm/internal/vm"
 	"silcfm/internal/workload"
 )
@@ -61,29 +63,28 @@ type Spec struct {
 	// internal/telemetry). Telemetry is read-only: it never changes Cycles
 	// or any counter.
 	Telemetry *telemetry.Config
-	// Health configures the online incident detector (internal/health).
-	// nil means enabled with defaults; set Disabled to opt out entirely.
-	// Queue capacities default to each device's channels × (read+write
-	// queue length). Like telemetry, the detector is read-only.
+	// Health selects the online incident detector (internal/health). nil
+	// means enabled; set Disabled to opt out entirely. The detector reads
+	// its bypass target and queue capacities from Machine. Like telemetry,
+	// it is read-only.
 	Health *health.Config
-	// Publish, when set, is called once per telemetry epoch on the
-	// simulation goroutine with that epoch's state and the health status:
-	// the incidents currently open plus the open/close transitions since
-	// the previous epoch. It is the hook the live observability hub
-	// (internal/telemetry/live.Registry) attaches through; the referenced
-	// state is only valid during the call.
-	Publish func(telemetry.EpochState, health.Status)
-	// Flightrec configures the incident flight recorder
-	// (internal/flightrec). nil means enabled with defaults — every run
-	// keeps a bounded ring of recent epochs and movement events and emits a
-	// postmortem bundle per health incident; set Disabled to opt out. Like
-	// telemetry and health, the recorder is read-only and provably inert.
+	// Live, when non-nil, attaches the run to the live observability hub
+	// (internal/telemetry/live; see Server.Run). Run publishes each
+	// telemetry epoch's state and health status through it, streams each
+	// finalized postmortem bundle and each epoch's tail-exemplar snapshot,
+	// and marks the run done with its incidents on every return path.
+	Live *live.Run
+	// Flightrec selects the incident flight recorder (internal/flightrec).
+	// nil means enabled — every run keeps a bounded ring of recent epochs
+	// and movement events and emits a postmortem bundle per health
+	// incident; set Disabled to opt out. Like telemetry and health, the
+	// recorder is read-only and provably inert.
 	Flightrec *flightrec.Config
-	// Exemplars configures the tail-latency exemplar recorder
-	// (internal/telemetry/exemplar). nil means enabled with defaults —
-	// every run keeps the worst-K demand accesses per service path with
-	// their full span waterfalls; set Disabled to opt out. Like the other
-	// observability layers, the recorder is read-only and provably inert.
+	// Exemplars selects the tail-latency exemplar recorder
+	// (internal/telemetry/exemplar). nil means enabled — every run keeps
+	// the worst-K demand accesses per service path with their full span
+	// waterfalls; set Disabled to opt out. Like the other observability
+	// layers, the recorder is read-only and provably inert.
 	Exemplars *exemplar.Config
 }
 
@@ -134,6 +135,21 @@ type Result struct {
 	SimCyclesPerSec float64
 }
 
+// Err joins the run's end-of-run verdicts: the data-integrity audit, the
+// shadow checker and the counter-conservation audit. It is nil when all
+// of them passed.
+func (r *Result) Err() error {
+	verdict := func(what string, err error) error {
+		if err == nil {
+			return nil
+		}
+		return fmt.Errorf("%s failed: %w", what, err)
+	}
+	return errors.Join(verdict("data-integrity audit", r.AuditErr),
+		verdict("shadow check", r.ShadowErr),
+		verdict("counter-conservation audit", r.ConservationErr))
+}
+
 // placementFor returns the first-touch allocation policy each scheme
 // assumes (§IV-A).
 func placementFor(s config.SchemeName) vm.Policy {
@@ -174,8 +190,16 @@ func NewController(m config.Machine, sys *mem.System) (mem.Controller, error) {
 }
 
 // Run executes one simulation to completion.
-func Run(spec Spec) (*Result, error) {
+func Run(spec Spec) (res *Result, err error) {
 	wallStart := time.Now()
+	hub := spec.Live
+	defer func() {
+		var final []health.Incident
+		if res != nil {
+			final = res.Health
+		}
+		hub.Done(final)
+	}()
 	m := spec.Machine
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -189,7 +213,7 @@ func Run(spec Spec) (*Result, error) {
 	manifestSpec := spec
 	manifestSpec.Telemetry = nil
 	manifestSpec.Health = nil
-	manifestSpec.Publish = nil
+	manifestSpec.Live = nil
 	manifestSpec.Flightrec = nil
 	manifestSpec.Exemplars = nil
 
@@ -284,76 +308,45 @@ func Run(spec Spec) (*Result, error) {
 	// Telemetry attaches after the shadow checker so the tracer sees each
 	// event after the checker has validated it; gauges come from the raw
 	// controller (the checker wrapper does not forward them).
-	//
-	// The health detector rides the telemetry epoch pump: the config is
-	// copied so the wrapped OnEpoch (detector feed, publisher, then the
-	// caller's own hook) never mutates the caller's struct.
-	hcfg := health.Config{}
-	if spec.Health != nil {
-		hcfg = *spec.Health
-	}
-	if hcfg.QueueCapNM == 0 {
-		hcfg.QueueCapNM = m.NM.Channels * (m.NM.ReadQueueLen + m.NM.WriteQueueLen)
-	}
-	if hcfg.QueueCapFM == 0 {
-		hcfg.QueueCapFM = m.FM.Channels * (m.FM.ReadQueueLen + m.FM.WriteQueueLen)
-	}
-	det := health.NewDetector(hcfg)
-	// The exemplar recorder observes demand issue/completion events and
-	// joins the OnEpoch chain (below) for epoch context. It is created
-	// before the flight recorder so incident captures can freeze its
-	// reservoirs at open.
-	ecfg := exemplar.Config{}
-	if spec.Exemplars != nil {
-		ecfg = *spec.Exemplars
-	}
-	exr := exemplar.New(ecfg, sys, rawCtl)
+	det := health.NewDetector(valueOr(spec.Health), m)
+	// The exemplar recorder observes demand issue/completion events. It is
+	// created before the flight recorder so incident captures can freeze
+	// its reservoirs at open.
+	exr := exemplar.New(valueOr(spec.Exemplars), sys, rawCtl)
 	if exr != nil {
 		sys.AttachObserver(exr)
 	}
-	// The flight recorder observes swap, lock and completion events and
-	// joins the OnEpoch chain (below) for epoch state + health status. It stamps
-	// bundles with the same fingerprint the run manifest will carry.
-	fcfg := flightrec.Config{}
-	if spec.Flightrec != nil {
-		fcfg = *spec.Flightrec
-	}
-	fcfg.Exemplars = exr.Snapshot // nil-safe; freezes the reservoirs at incident open
-	rec := flightrec.New(fcfg, manifestSpec.Fingerprint(), ctl.Name()+"/"+wlLabel)
+	// The flight recorder observes swap, lock and completion events. It
+	// stamps bundles with the same fingerprint the run manifest will carry.
+	rec := flightrec.New(valueOr(spec.Flightrec), exr, manifestSpec.Fingerprint(), ctl.Name()+"/"+wlLabel)
 	if rec != nil {
 		sys.AttachObserver(rec)
 	}
-	tcfg := telemetry.Config{}
-	if spec.Telemetry != nil {
-		tcfg = *spec.Telemetry
-	}
-	if det != nil || spec.Publish != nil || rec != nil || exr != nil {
-		userEpoch := tcfg.OnEpoch
-		publish := spec.Publish
-		// prevOpen carries the previous epoch's open set so every publish
+	// The health detector, both recorders and the hub ride the telemetry
+	// epoch pump. A run with none of them and no telemetry output
+	// schedules no pump at all.
+	var onEpoch func(telemetry.EpochState)
+	if det != nil || rec != nil || exr != nil || hub != nil {
+		// prevOpen carries the previous epoch's open set so every epoch
 		// reports the incident transitions that happened at its boundary.
-		// OnEpoch runs only on the simulation goroutine, so the closure
+		// The sink runs only on the simulation goroutine, so the closure
 		// state needs no lock.
 		var prevOpen []health.Incident
-		tcfg.OnEpoch = func(st telemetry.EpochState) {
+		onEpoch = func(st telemetry.EpochState) {
 			det.Observe(st.Sample)
-			if publish != nil || rec != nil || exr != nil {
-				open := det.Open()
-				opened, closed := health.DiffOpen(prevOpen, open)
-				prevOpen = open
-				hs := health.Status{Open: open, Opened: opened, Closed: closed}
-				exr.ObserveEpoch(st, hs)
-				rec.ObserveEpoch(st, hs)
-				if publish != nil {
-					publish(st, hs)
-				}
+			open := det.Open()
+			opened, closed := health.DiffOpen(prevOpen, open)
+			prevOpen = open
+			hs := health.Status{Open: open, Opened: opened, Closed: closed}
+			exr.ObserveEpoch(st, hs)
+			if hub != nil {
+				hub.SetExemplars(exr.Snapshot())
 			}
-			if userEpoch != nil {
-				userEpoch(st)
-			}
+			hub.AddBundle(rec.ObserveEpoch(st, hs))
+			hub.Publish(st, hs)
 		}
 	}
-	tel := telemetry.Attach(&tcfg, sys, rawCtl)
+	tel := telemetry.Attach(spec.Telemetry, sys, rawCtl, onEpoch)
 
 	// Each core's reference stream runs ahead on its own producer
 	// goroutine; the engine and everything it drives stay on this one.
@@ -402,11 +395,15 @@ func Run(spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("harness: telemetry: %w", err)
 	}
 
-	res := &Result{}
+	res = &Result{}
 	res.Health = det.Finish()
 	// Finish after telemetry Finish (the final partial epoch is pumped) so
-	// a capture still open at end of run flushes with the full window.
+	// a capture still open at end of run flushes with the full window; that
+	// forced bundle is the only one an epoch boundary did not stream.
 	res.Bundles = rec.Finish()
+	if n := len(res.Bundles); n > 0 && res.Bundles[n-1].Forced {
+		hub.AddBundle(&res.Bundles[n-1])
+	}
 	res.Exemplars = exr.Finish()
 	res.Spec = manifestSpec
 	res.Workload = wlLabel
@@ -492,6 +489,15 @@ func injectExemplarSpans(tr *telemetry.Tracer, es []exemplar.Exemplar) {
 			off += sp.Cycles
 		}
 	}
+}
+
+// valueOr returns *p, or the zero value when p is nil.
+func valueOr[T any](p *T) T {
+	if p == nil {
+		var zero T
+		return zero
+	}
+	return *p
 }
 
 // loadTrace reads a trace file into a Replay generator.

@@ -80,6 +80,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"zero FM channels", func(m *config.Machine) { m.FM.Channels = 0 }},
 		{"zero NM bus clock", func(m *config.Machine) { m.NM.BusMHz = 0 }},
 		{"row buffer below a line", func(m *config.Machine) { m.NM.RowBufferSize = 0 }},
+		{"banks beyond the queue key", func(m *config.Machine) { m.FM.BanksPerRank = 1<<16 + 1 }},
+		{"rows beyond the queue key", func(m *config.Machine) {
+			m.FM.Channels, m.FM.RanksPerChan, m.FM.BanksPerRank, m.FM.RowBufferSize = 1, 1, 1, 64
+			m.FM.Capacity = 1 << 60
+		}},
 	} {
 		s := tinySpec(config.SchemeSILCFM, "milc")
 		c.mut(&s.Machine)
@@ -524,9 +529,10 @@ func TestExemplarRecorderInertAndExact(t *testing.T) {
 		prevPath, prevLat = e.Path, e.Latency
 		counts[e.Path]++
 	}
+	const k = 16 // the exemplar recorder's per-path reservoir depth
 	for path, n := range counts {
-		if n > exemplar.DefaultK {
-			t.Fatalf("path %s holds %d exemplars, K=%d", path, n, exemplar.DefaultK)
+		if n > k {
+			t.Fatalf("path %s holds %d exemplars, K=%d", path, n, k)
 		}
 	}
 	// The worst exemplar per path is the histogram's exact max.

@@ -17,6 +17,9 @@ import (
 
 const span = 10_000
 
+// detector builds an enabled detector for the default machine.
+func detector() *health.Detector { return health.NewDetector(health.Config{}, config.Default()) }
+
 // feed builds the epoch-indexed sample a detector consumes.
 func feed(epoch uint64, mut func(*telemetry.Sample)) *telemetry.Sample {
 	s := &telemetry.Sample{Epoch: epoch, Cycle: (epoch + 1) * span, SpanCycles: span}
@@ -27,7 +30,7 @@ func feed(epoch uint64, mut func(*telemetry.Sample)) *telemetry.Sample {
 }
 
 func TestSwapThrashFiresAndCloses(t *testing.T) {
-	det := health.NewDetector(health.Config{WindowEpochs: 4, CloseAfter: 2})
+	det := detector()
 	// Epochs 0-5 thrash (swaps double the demand), 6+ are healthy; the
 	// incident must close after the window drains plus the grace epochs.
 	for e := uint64(0); e < 16; e++ {
@@ -56,7 +59,7 @@ func TestSwapThrashFiresAndCloses(t *testing.T) {
 	if in.FirstCycle != 0 || in.LastCycle == 0 {
 		t.Errorf("cycle range [%d, %d] not anchored", in.FirstCycle, in.LastCycle)
 	}
-	// The 4-epoch window still exceeds demand for a couple of epochs after
+	// The 8-epoch window still exceeds demand for a few epochs after
 	// the thrash stops, so the incident extends past epoch 5 but must have
 	// closed well before the run's end.
 	if in.LastEpoch < 5 || in.LastEpoch > 9 {
@@ -71,7 +74,7 @@ func TestSwapThrashFiresAndCloses(t *testing.T) {
 }
 
 func TestBypassOscillationCountsCrossingsNotIdleEpochs(t *testing.T) {
-	det := health.NewDetector(health.Config{WindowEpochs: 8, MinCrossings: 4})
+	det := detector()
 	// Rate alternates around 0.8 every active epoch, but idle epochs
 	// (zero misses, rate reported as 0) sit between them and must not
 	// count as crossings.
@@ -112,7 +115,7 @@ func TestBypassOscillationCountsCrossingsNotIdleEpochs(t *testing.T) {
 }
 
 func TestBypassToggleGaugeFires(t *testing.T) {
-	det := health.NewDetector(health.Config{WindowEpochs: 4, MinCrossings: 4})
+	det := detector()
 	// The governor gauge alone (cumulative toggle count) must trigger,
 	// even with a steady access rate.
 	toggles := []float64{2, 4, 6}
@@ -136,8 +139,32 @@ func TestBypassToggleGaugeFires(t *testing.T) {
 	}
 }
 
+// TestBypassOscillationWatchesMachineTarget: the crossing threshold is the
+// machine's SILC-FM bypass target, not a detector default. A rate
+// alternating around 0.7 crosses nothing at the default 0.8 target.
+func TestBypassOscillationWatchesMachineTarget(t *testing.T) {
+	m := config.Default()
+	m.SILC.BypassTarget = 0.7
+	run := func(m config.Machine) []health.Incident {
+		det := health.NewDetector(health.Config{}, m)
+		for e := uint64(0); e < 8; e++ {
+			det.Observe(feed(e, func(s *telemetry.Sample) {
+				s.LLCMisses = 50
+				s.AccessRate = 0.65 + 0.1*float64(e%2)
+			}))
+		}
+		return det.Finish()
+	}
+	if got := run(m); len(got) != 1 || got[0].Kind != health.KindBypassOscillation {
+		t.Fatalf("target 0.7: want one bypass-oscillation incident, got %+v", got)
+	}
+	if got := run(config.Default()); len(got) != 0 {
+		t.Fatalf("target 0.8: rates 0.65/0.75 raised incidents: %+v", got)
+	}
+}
+
 func TestLockChurn(t *testing.T) {
-	det := health.NewDetector(health.Config{WindowEpochs: 4, LockChurnMin: 16})
+	det := detector()
 	for e := uint64(0); e < 4; e++ {
 		det.Observe(feed(e, func(s *telemetry.Sample) {
 			s.LLCMisses = 50
@@ -156,40 +183,46 @@ func TestLockChurn(t *testing.T) {
 }
 
 func TestQueueSaturationUsesPeaks(t *testing.T) {
-	cfg := health.Config{WindowEpochs: 4, QueueSatEpochs: 2, QueueCapNM: 100}
-	det := health.NewDetector(cfg)
+	// The default machine's NM queues hold 8 channels x (32+32) = 512
+	// requests; a peak of 480 is above the 75% line in all four epochs
+	// that half of the 8-epoch window requires.
+	m := config.Default()
+	det := health.NewDetector(health.Config{}, m)
 	// Instantaneous depth at the boundary is low; the per-epoch peak is
-	// pinned at capacity. Only the peak should matter.
+	// pinned near capacity. Only the peak should matter.
 	for e := uint64(0); e < 4; e++ {
 		det.Observe(feed(e, func(s *telemetry.Sample) {
 			s.LLCMisses = 50
 			s.QueueNM = 1
-			s.PeakQueueNM = 95
+			s.PeakQueueNM = 480
 		}))
 	}
 	incidents := det.Finish()
 	if len(incidents) != 1 || incidents[0].Kind != health.KindQueueSaturation {
 		t.Fatalf("want one queue-saturation incident, got %+v", incidents)
 	}
-	if incidents[0].Evidence.PeakQueueNM != 95 {
-		t.Errorf("evidence peak = %d, want 95", incidents[0].Evidence.PeakQueueNM)
+	if incidents[0].Evidence.PeakQueueNM != 480 {
+		t.Errorf("evidence peak = %d, want 480", incidents[0].Evidence.PeakQueueNM)
 	}
-	// Same trace with saturation detection disabled (no capacity): silent.
-	det2 := health.NewDetector(health.Config{WindowEpochs: 4, QueueSatEpochs: 2})
+	// The capacity comes from the machine: the same trace against NM
+	// queues twice as long stays below the line.
+	m.NM.ReadQueueLen, m.NM.WriteQueueLen = 64, 64
+	det2 := health.NewDetector(health.Config{}, m)
 	for e := uint64(0); e < 4; e++ {
 		det2.Observe(feed(e, func(s *telemetry.Sample) {
 			s.LLCMisses = 50
-			s.PeakQueueNM = 95
+			s.PeakQueueNM = 480
 		}))
 	}
 	if got := det2.Finish(); len(got) != 0 {
-		t.Fatalf("capacity 0 must disable the check, got %+v", got)
+		t.Fatalf("peaks under 75%% of a 1024-request capacity raised incidents: %+v", got)
 	}
 }
 
 func TestPredictorCollapse(t *testing.T) {
-	det := health.NewDetector(health.Config{WindowEpochs: 4, PredictorMinSamples: 100})
-	for e := uint64(0); e < 4; e++ {
+	// 50 predictions an epoch reach the 256-prediction floor on the sixth.
+	det := detector()
+	for e := uint64(0); e < 8; e++ {
 		det.Observe(feed(e, func(s *telemetry.Sample) {
 			s.LLCMisses = 50
 			s.PredictorHits = 10
@@ -200,13 +233,16 @@ func TestPredictorCollapse(t *testing.T) {
 	if len(incidents) != 1 || incidents[0].Kind != health.KindPredictorCollapse {
 		t.Fatalf("want one predictor-collapse incident, got %+v", incidents)
 	}
+	if in := incidents[0]; in.FirstEpoch != 5 {
+		t.Errorf("first epoch = %d, want 5 (the first window with 256 predictions)", in.FirstEpoch)
+	}
 	if sev := incidents[0].PeakSeverity; sev < 0.75 || sev > 1 {
 		t.Errorf("severity %.2f, want 1-accuracy = 0.8 ballpark", sev)
 	}
 }
 
 func TestRowThrashFiresOnConflictStream(t *testing.T) {
-	det := health.NewDetector(health.Config{WindowEpochs: 4})
+	det := detector()
 	// A synthetic conflict stream: nearly every FM row operation is a
 	// conflict and the pressure sits on one bank (imbalance far above the
 	// threshold). Epochs 6+ return to a healthy streaming mix.
@@ -251,7 +287,7 @@ func TestRowThrashFiresOnConflictStream(t *testing.T) {
 func TestRowThrashNeedsImbalance(t *testing.T) {
 	// The same conflict rate with uniform bank pressure is ordinary
 	// bandwidth saturation, not row thrash: it must stay quiet.
-	det := health.NewDetector(health.Config{WindowEpochs: 4})
+	det := detector()
 	for e := uint64(0); e < 8; e++ {
 		det.Observe(feed(e, func(s *telemetry.Sample) {
 			s.LLCMisses = 300
@@ -265,7 +301,7 @@ func TestRowThrashNeedsImbalance(t *testing.T) {
 		t.Fatalf("uniform conflicts raised incidents: %+v", got)
 	}
 	// And below the activity floor nothing fires either.
-	det2 := health.NewDetector(health.Config{WindowEpochs: 4})
+	det2 := detector()
 	for e := uint64(0); e < 8; e++ {
 		det2.Observe(feed(e, func(s *telemetry.Sample) {
 			s.LLCMisses = 10
@@ -281,7 +317,7 @@ func TestRowThrashNeedsImbalance(t *testing.T) {
 }
 
 func TestDisabledDetectorIsNil(t *testing.T) {
-	det := health.NewDetector(health.Config{Disabled: true})
+	det := health.NewDetector(health.Config{Disabled: true}, config.Default())
 	if det != nil {
 		t.Fatal("Disabled config must return nil")
 	}
@@ -295,7 +331,7 @@ func TestDisabledDetectorIsNil(t *testing.T) {
 // detector and returns the JSONL encoding of its incidents.
 func thrashFeed(t *testing.T) []byte {
 	t.Helper()
-	det := health.NewDetector(health.Config{WindowEpochs: 4})
+	det := detector()
 	for e := uint64(0); e < 32; e++ {
 		det.Observe(feed(e, func(s *telemetry.Sample) {
 			s.LLCMisses = 100 + e
@@ -387,11 +423,9 @@ func runConflictScenario(t *testing.T, feats config.SILCFeatures) []health.Incid
 	sys := mem.NewSystem(m, eng)
 	ctl := core.New(sys, m.SILC)
 
-	det := health.NewDetector(health.Config{WindowEpochs: 4})
-	tel := telemetry.Attach(&telemetry.Config{
-		EpochCycles: 5_000,
-		OnEpoch:     func(st telemetry.EpochState) { det.Observe(st.Sample) },
-	}, sys, ctl)
+	det := health.NewDetector(health.Config{}, m)
+	tel := telemetry.Attach(&telemetry.Config{EpochCycles: 5_000}, sys, ctl,
+		func(st telemetry.EpochState) { det.Observe(st.Sample) })
 	tel.Start()
 
 	// Two FM blocks in NM set 0 for every associativity that divides

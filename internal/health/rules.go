@@ -1,17 +1,21 @@
 package health
 
-import "fmt"
+import (
+	"fmt"
+
+	"silcfm/internal/config"
+)
 
 // RuleInfo is one pathology rule's human-facing metadata: what the rule
-// means, the threshold it fires at (rendered from a resolved Config), and
-// which counters to look at first when it opens. Surfaced in the printed
-// health report, the /healthz JSON body, the dashboard tooltips and the
-// postmortem renderer.
+// means, the threshold it fires at (rendered from the detector's
+// constants), and which counters to look at first when it opens. Surfaced
+// in the printed health report, the /healthz JSON body, the dashboard
+// tooltips and the postmortem renderer.
 type RuleInfo struct {
 	Kind        string `json:"kind"`
 	Description string `json:"description"`
-	// Threshold renders the firing condition with the detector's resolved
-	// numeric thresholds filled in.
+	// Threshold renders the firing condition with the detector's numeric
+	// thresholds filled in.
 	Threshold string `json:"threshold"`
 	// FirstLook lists the sample/evidence counters that most directly
 	// explain an incident of this kind, in suggested reading order.
@@ -32,11 +36,11 @@ func KindIndex(kind string) (i int, ok bool) {
 	return 0, false
 }
 
-// Rules renders every rule's metadata with cfg's thresholds resolved to
-// their effective values (zero fields take the documented defaults), in
-// detector evaluation order.
-func (c Config) Rules() []RuleInfo {
-	r := c.withDefaults()
+// Rules renders every rule's metadata in detector evaluation order. The
+// bypass-oscillation threshold is the default machine's bypass target; a
+// detector watches its own machine's (see NewDetector).
+func Rules() []RuleInfo {
+	bypassTarget := config.DefaultSILC().BypassTarget
 	return []RuleInfo{
 		{
 			Kind: KindSwapThrash,
@@ -45,7 +49,7 @@ func (c Config) Rules() []RuleInfo {
 				"instead of amortizing (the pathology SILC-FM's bandwidth bypass is " +
 				"meant to suppress, §III-E).",
 			Threshold: fmt.Sprintf("window swap bytes > %.2f x demand bytes with >= %d LLC misses over %d epochs",
-				r.SwapThrashRatio, r.MinWindowMisses, r.WindowEpochs),
+				swapThrashRatio, minWindowMisses, windowEpochs),
 			FirstLook: []string{"swaps_in", "swaps_out", "demand_bytes_nm", "demand_bytes_fm", "migration_bytes_nm"},
 		},
 		{
@@ -54,7 +58,7 @@ func (c Config) Rules() []RuleInfo {
 				"(or the governor itself keeps toggling): placement and bypassing are " +
 				"fighting each other instead of settling.",
 			Threshold: fmt.Sprintf("window access-rate crossings of %.2f (or governor toggles) >= %d over %d epochs",
-				r.BypassTarget, r.MinCrossings, r.WindowEpochs),
+				bypassTarget, minCrossings, windowEpochs),
 			FirstLook: []string{"access_rate", "bypassed", "gauge bypass_toggles", "serviced_nm"},
 		},
 		{
@@ -64,7 +68,7 @@ func (c Config) Rules() []RuleInfo {
 				"made, so the lock mechanism (§III-C) pays its cost without pinning " +
 				"anything long enough to matter.",
 			Threshold: fmt.Sprintf("min(window locks, window unlocks) >= %d over %d epochs",
-				r.LockChurnMin, r.WindowEpochs),
+				lockChurnMin, windowEpochs),
 			FirstLook: []string{"locks", "unlocks", "gauge locked_frames", "swaps_in"},
 		},
 		{
@@ -73,7 +77,7 @@ func (c Config) Rules() []RuleInfo {
 				"its capacity: the memory system is bandwidth-bound and demand " +
 				"latency is dominated by queueing, not service.",
 			Threshold: fmt.Sprintf("peak queue depth >= %.0f%% of device capacity in >= %d of %d epochs",
-				100*r.QueueSatFraction, r.QueueSatEpochs, r.WindowEpochs),
+				100*queueSatFraction, queueSatEpochs, windowEpochs),
 			FirstLook: []string{"peak_queue_nm", "peak_queue_fm", "queue_nm", "queue_fm", "attribution queue span"},
 		},
 		{
@@ -82,7 +86,7 @@ func (c Config) Rules() []RuleInfo {
 				"the floor: demands pay the serialized metadata-fetch retry penalty " +
 				"more often than a coin flip would.",
 			Threshold: fmt.Sprintf("window predictor accuracy < %.2f with >= %d predictions over %d epochs",
-				r.PredictorFloor, r.PredictorMinSamples, r.WindowEpochs),
+				predictorFloor, predictorMinSamples, windowEpochs),
 			FirstLook: []string{"predictor_hits", "predictor_misses", "attribution mispredict span"},
 		},
 		{
@@ -92,17 +96,14 @@ func (c Config) Rules() []RuleInfo {
 				"down rows other accesses still want, paying precharge+activate on " +
 				"most operations (what a row-locality-aware placement would avoid).",
 			Threshold: fmt.Sprintf("window row conflicts > %.2f x row ops with peak bank imbalance >= %.1f and >= %d row ops over %d epochs",
-				r.RowThrashConflictRatio, r.RowThrashImbalance, r.RowThrashMinOps, r.WindowEpochs),
+				rowThrashConflictRatio, rowThrashImbalance, rowThrashMinOps, windowEpochs),
 			FirstLook: []string{"row_conflicts_nm", "row_conflicts_fm", "bank_imbalance_nm", "bank_imbalance_fm", "row_hit_rate_fm", "dashboard bank heatmap"},
 		},
 	}
 }
 
-// Rules returns the rule metadata at the default thresholds.
-func Rules() []RuleInfo { return Config{}.Rules() }
-
-// Info returns the metadata for one kind at the default thresholds; ok is
-// false for unknown kinds.
+// Info returns the metadata for one kind (see Rules); ok is false for
+// unknown kinds.
 func Info(kind string) (RuleInfo, bool) {
 	for _, r := range Rules() {
 		if r.Kind == kind {

@@ -53,8 +53,7 @@ func thrashCell() harness.Spec {
 	}
 }
 
-// runPlanes runs thrashCell with the selected planes, wiring the live hub
-// the way silcfm.Options.Live does.
+// runPlanes runs thrashCell with the selected planes.
 func runPlanes(t *testing.T, p planes) planeRun {
 	t.Helper()
 	const id = "silc/milc"
@@ -100,13 +99,7 @@ func runPlanes(t *testing.T, p planes) planeRun {
 				}
 			}(&out.epochs[i])
 		}
-		spec.Publish = srv.Hook(id)
-		if p.flightrec {
-			spec.Flightrec = &flightrec.Config{OnBundle: func(b *flightrec.Bundle) { srv.AddBundle(id, b) }}
-		}
-		if p.exemplars {
-			spec.Exemplars = &exemplar.Config{OnSnapshot: func(es []exemplar.Exemplar) { srv.SetExemplars(id, es) }}
-		}
+		spec.Live = srv.Run(id)
 	}
 	res, err := harness.Run(spec)
 	if err != nil {

@@ -26,28 +26,14 @@ import (
 	"silcfm/internal/telemetry"
 )
 
-// DefaultK is the per-path reservoir depth.
-const DefaultK = 16
+// k is the per-path reservoir depth.
+const k = 16
 
-// Config tunes the recorder. The zero value means "defaults"; harness.Run
-// attaches a recorder to every run unless Disabled is set.
+// Config selects whether harness.Run attaches the recorder; the zero value
+// attaches it.
 type Config struct {
 	// Disabled turns the recorder off entirely.
 	Disabled bool
-	// K is the per-path reservoir depth (default 16).
-	K int
-	// OnSnapshot, when set, receives a fresh worst-first snapshot of every
-	// reservoir at each telemetry epoch boundary, on the simulation
-	// goroutine (the live registry attaches here). Snapshots are immutable
-	// once emitted, so the callback may retain and share them freely.
-	OnSnapshot func([]Exemplar)
-}
-
-func (c Config) withDefaults() Config {
-	if c.K <= 0 {
-		c.K = DefaultK
-	}
-	return c
 }
 
 // PointContext is the instantaneous system state sampled around one demand
@@ -193,10 +179,9 @@ func (rv *reservoir) siftDown(i int) {
 
 // Recorder is one run's exemplar recorder. It implements mem.Observer for
 // the demand issue/completion feed, and is fed epoch state + health status
-// by the harness's OnEpoch chain (ObserveEpoch). Not safe for concurrent
+// by harness.Run's epoch sink (ObserveEpoch). Not safe for concurrent
 // use: everything runs on the simulation goroutine.
 type Recorder struct {
-	cfg Config
 	sys *mem.System
 	ctl mem.Controller
 	lp  mem.LockProbe // ctl's optional lock probe, resolved once
@@ -219,8 +204,7 @@ type Recorder struct {
 	epochGauges []mem.Gauge
 }
 
-// New builds a recorder over sys with cfg's bounds (zero fields take the
-// documented defaults). ctl, when non-nil, provides completion-time
+// New builds a recorder over sys. ctl, when non-nil, provides completion-time
 // Locate and (if it implements mem.LockProbe) lock-state sampling.
 // Returns nil when cfg.Disabled is set; all Recorder methods are nil-safe.
 func New(cfg Config, sys *mem.System, ctl mem.Controller) *Recorder {
@@ -228,7 +212,6 @@ func New(cfg Config, sys *mem.System, ctl mem.Controller) *Recorder {
 		return nil
 	}
 	r := &Recorder{
-		cfg:      cfg.withDefaults(),
 		sys:      sys,
 		ctl:      ctl,
 		kinds:    health.Kinds(),
@@ -237,20 +220,12 @@ func New(cfg Config, sys *mem.System, ctl mem.Controller) *Recorder {
 	r.lp, _ = ctl.(mem.LockProbe)
 	r.openNow = make([]bool, len(r.kinds))
 	for p := range r.res {
-		r.res[p].slots = make([]slot, r.cfg.K)
+		r.res[p].slots = make([]slot, k)
 		for i := range r.res[p].slots {
 			r.res[p].slots[i].open = make([]bool, len(r.kinds))
 		}
 	}
 	return r
-}
-
-// K returns the per-path reservoir depth.
-func (r *Recorder) K() int {
-	if r == nil {
-		return 0
-	}
-	return r.cfg.K
 }
 
 // pointAt samples the instantaneous context of flat address pa serviced at
@@ -341,8 +316,8 @@ func (r *Recorder) fill(s *slot, a *mem.Access, lat, now uint64, ic pointCtx, ha
 
 // ObserveEpoch feeds one telemetry epoch boundary: the recorder keeps the
 // epoch index, scheme gauges and open incident kinds as the context
-// stamped onto subsequently admitted exemplars. Called by the harness's
-// OnEpoch chain after the detector has stepped.
+// stamped onto subsequently admitted exemplars. Called by harness.Run's
+// epoch sink after the detector has stepped.
 func (r *Recorder) ObserveEpoch(st telemetry.EpochState, hs health.Status) {
 	if r == nil || st.Sample == nil {
 		return
@@ -356,9 +331,6 @@ func (r *Recorder) ObserveEpoch(st telemetry.EpochState, hs health.Status) {
 		if k, ok := health.KindIndex(hs.Open[i].Kind); ok {
 			r.openNow[k] = true
 		}
-	}
-	if r.cfg.OnSnapshot != nil {
-		r.cfg.OnSnapshot(r.Snapshot())
 	}
 }
 

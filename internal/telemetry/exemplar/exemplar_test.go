@@ -2,6 +2,7 @@ package exemplar_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"silcfm/internal/config"
@@ -13,11 +14,11 @@ import (
 
 // newRecorder builds a recorder over a bare idle system, so tests can feed
 // the observer hooks directly with hand-built accesses.
-func newRecorder(t *testing.T, k int) (*sim.Engine, *mem.System, *exemplar.Recorder) {
+func newRecorder(t *testing.T) (*sim.Engine, *mem.System, *exemplar.Recorder) {
 	t.Helper()
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(config.Small(), eng)
-	r := exemplar.New(exemplar.Config{K: k}, sys, nil)
+	r := exemplar.New(exemplar.Config{}, sys, nil)
 	if r == nil {
 		t.Fatal("New returned nil for an enabled config")
 	}
@@ -72,13 +73,10 @@ func TestDisabledIsNilAndNilSafe(t *testing.T) {
 	if got := r.Finish(); got != nil {
 		t.Fatalf("nil recorder Finish = %v, want nil", got)
 	}
-	if r.K() != 0 {
-		t.Fatalf("nil recorder K = %d, want 0", r.K())
-	}
 }
 
 func TestFewerThanKKeepsAll(t *testing.T) {
-	eng, sys, r := newRecorder(t, 16)
+	eng, sys, r := newRecorder(t)
 	for i, lat := range []uint64{30, 10, 20} {
 		feed(eng, sys, r, stats.PathNMHit, uint64(i)*64, 100+uint64(i)*100, lat)
 	}
@@ -95,47 +93,63 @@ func TestFewerThanKKeepsAll(t *testing.T) {
 	}
 }
 
-func TestK1KeepsOnlyTheWorst(t *testing.T) {
-	eng, sys, r := newRecorder(t, 1)
-	lats := []uint64{5, 90, 12, 90, 41}
+func TestFullReservoirKeepsOnlyTheWorst(t *testing.T) {
+	eng, sys, r := newRecorder(t)
+	// K-1 accesses slower than 90, one 90 that becomes the reservoir's
+	// root, then a later exact tie with the root and a faster access.
+	var lats []uint64
+	for i := 0; i < exemplar.K-1; i++ {
+		lats = append(lats, 100+uint64(i))
+	}
+	lats = append(lats, 90, 90, 5)
 	for i, lat := range lats {
 		feed(eng, sys, r, stats.PathFM, uint64(i)*64, 100+uint64(i)*100, lat)
 	}
 	eng.Run()
 	es := r.Finish()
-	if len(es) != 1 {
-		t.Fatalf("K=1 reservoir holds %d exemplars, want 1", len(es))
+	if len(es) != exemplar.K {
+		t.Fatalf("full reservoir holds %d exemplars, want K=%d", len(es), exemplar.K)
 	}
-	if es[0].Latency != 90 {
-		t.Fatalf("kept latency %d, want 90", es[0].Latency)
+	if es[0].Latency != 100+uint64(exemplar.K-2) {
+		t.Fatalf("worst kept latency %d, want %d", es[0].Latency, 100+exemplar.K-2)
+	}
+	last := es[len(es)-1]
+	if last.Latency != 90 {
+		t.Fatalf("least kept latency %d, want 90", last.Latency)
 	}
 	// On the full-reservoir exact tie (the second 90), the incumbent keeps
 	// its slot: the survivor must be the first 90 (earlier start, earlier seq).
-	if es[0].StartCycle != 200-90 {
+	if first90 := uint64(100 + (exemplar.K-1)*100 - 90); last.StartCycle != first90 {
 		t.Fatalf("tie broke toward the later access: start=%d, want %d",
-			es[0].StartCycle, 200-90)
+			last.StartCycle, first90)
 	}
 }
 
 func TestEvictionBoundary(t *testing.T) {
-	eng, sys, r := newRecorder(t, 2)
-	for i, lat := range []uint64{10, 20, 30} {
-		feed(eng, sys, r, stats.PathSwap, uint64(i)*64, 100+uint64(i)*100, lat)
+	eng, sys, r := newRecorder(t)
+	// Fill the reservoir with latencies 20, 30, ..., 10*(K+1); 20 is the
+	// root.
+	n := uint64(exemplar.K)
+	for i := uint64(0); i < n; i++ {
+		feed(eng, sys, r, stats.PathSwap, i*64, 100+i*100, 20+10*i)
 	}
 	// Below the root: must be rejected. Above the root: must evict it.
-	feed(eng, sys, r, stats.PathSwap, 4*64, 500, 15)
-	feed(eng, sys, r, stats.PathSwap, 5*64, 600, 25)
+	feed(eng, sys, r, stats.PathSwap, n*64, 100+n*100, 15)
+	feed(eng, sys, r, stats.PathSwap, (n+1)*64, 200+n*100, 25)
 	eng.Run()
-	es := r.Finish()
-	got := latenciesOf(es)
-	want := []uint64{30, 25}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+	got := latenciesOf(r.Finish())
+	var want []uint64
+	for lat := 10 * (n + 1); lat >= 30; lat -= 10 {
+		want = append(want, lat)
+	}
+	want = append(want, 25)
+	if !slices.Equal(got, want) {
 		t.Fatalf("reservoir after boundary churn holds %v, want %v", got, want)
 	}
 }
 
 func TestExactTieOrderIsPinned(t *testing.T) {
-	eng, sys, r := newRecorder(t, 8)
+	eng, sys, r := newRecorder(t)
 	// Three accesses with identical latency, distinct start cycles, fed
 	// out of start order. Worst-first order pins start asc then seq asc.
 	for _, at := range []uint64{300, 100, 200} {
@@ -161,7 +175,7 @@ func TestExactTieOrderIsPinned(t *testing.T) {
 }
 
 func TestPathsAreIndependentAndGrouped(t *testing.T) {
-	eng, sys, r := newRecorder(t, 4)
+	eng, sys, r := newRecorder(t)
 	feed(eng, sys, r, stats.PathFM, 64, 100, 10)
 	feed(eng, sys, r, stats.PathNMHit, 128, 200, 99)
 	feed(eng, sys, r, stats.PathFM, 192, 300, 20)
@@ -183,7 +197,7 @@ func TestPathsAreIndependentAndGrouped(t *testing.T) {
 }
 
 func TestSpanSumEqualsLatency(t *testing.T) {
-	eng, _, r := newRecorder(t, 8)
+	eng, _, r := newRecorder(t)
 	eng.At(100, func() {
 		a := &mem.Access{PAddr: 64, Start: 40}
 		a.AddSpan(stats.SpanQueue, 13)
@@ -211,7 +225,7 @@ func TestSpanSumEqualsLatency(t *testing.T) {
 
 func TestSnapshotJSONLIsByteDeterministic(t *testing.T) {
 	run := func() []byte {
-		eng, sys, r := newRecorder(t, 4)
+		eng, sys, r := newRecorder(t)
 		for i, lat := range []uint64{40, 40, 7, 93, 21, 40} {
 			feed(eng, sys, r, stats.DemandPath(i%3), uint64(i)*64, 100+uint64(i)*50, lat)
 		}
@@ -232,12 +246,12 @@ func TestSnapshotJSONLIsByteDeterministic(t *testing.T) {
 }
 
 func TestSteadyStateAdmissionDoesNotAllocate(t *testing.T) {
-	eng, sys, r := newRecorder(t, 4)
+	eng, sys, r := newRecorder(t)
 	loc := sys.HomeLocation(64)
 	a := &mem.Access{}
 	lat := uint64(100)
 	// Warm up: fill the reservoir and reach the peak in-flight map size.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*exemplar.K; i++ {
 		lat++
 		a.Reset(0, 0, 64, false, 0, nil)
 		issue(eng, r, a, stats.PathSwap, loc)
@@ -258,7 +272,7 @@ func TestSteadyStateAdmissionDoesNotAllocate(t *testing.T) {
 }
 
 func TestSummarizeCountsAndWorst(t *testing.T) {
-	eng, sys, r := newRecorder(t, 8)
+	eng, sys, r := newRecorder(t)
 	feed(eng, sys, r, stats.PathNMHit, 64, 100, 10)
 	feed(eng, sys, r, stats.PathNMHit, 128, 200, 30)
 	feed(eng, sys, r, stats.PathBypass, 192, 300, 77)

@@ -71,17 +71,13 @@ func TestIncidentsAPI(t *testing.T) {
 
 	const id = "thrash/milc"
 	spec := thrashSpec()
-	spec.Publish = srv.Hook(id)
-	spec.Flightrec = &flightrec.Config{
-		OnBundle: func(b *flightrec.Bundle) { srv.AddBundle(id, b) },
-	}
+	spec.Live = srv.Run(id)
 	res, err := harness.Run(spec)
 	close(stop)
 	<-scraped
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	srv.Done(id, res.Health)
 	if len(res.Bundles) == 0 {
 		t.Fatal("thrash config captured no bundles")
 	}
@@ -166,7 +162,7 @@ func TestHealthzRuleMetadata(t *testing.T) {
 		t.Fatalf("live.New: %v", err)
 	}
 	defer srv.Close()
-	publishState(srv.Hook("meta"), 1000, nil)
+	publishState(srv.Run("meta"), 1000, nil)
 
 	_, body := get(t, srv.URL()+"/healthz")
 	var hz live.Healthz
@@ -180,5 +176,22 @@ func TestHealthzRuleMetadata(t *testing.T) {
 		if r.Kind == "" || r.Description == "" || r.Threshold == "" || len(r.FirstLook) == 0 {
 			t.Errorf("rule %+v missing metadata", r)
 		}
+	}
+}
+
+// TestRerunReplacesBundles: re-registering a run id (a bench rep) drops
+// the bundles its previous incarnation stored and keeps other runs'.
+func TestRerunReplacesBundles(t *testing.T) {
+	reg := live.NewRegistry()
+	reg.Run("cell").AddBundle(&flightrec.Bundle{Trigger: health.KindSwapThrash})
+	reg.Run("other").AddBundle(&flightrec.Bundle{Trigger: health.KindLockChurn})
+	rep := reg.Run("cell")
+	if refs := reg.Incidents(); len(refs) != 1 || refs[0].Run != "other" {
+		t.Fatalf("after the rerun the hub lists %+v, want only run other's bundle", refs)
+	}
+	rep.AddBundle(&flightrec.Bundle{Trigger: health.KindQueueSaturation})
+	refs := reg.Incidents()
+	if len(refs) != 2 || refs[1].Run != "cell" || refs[1].ID != 2 {
+		t.Fatalf("hub lists %+v, want other's bundle then the rerun's as id 2", refs)
 	}
 }

@@ -18,13 +18,17 @@
 //	            simulation rate, elapsed wall time and wall-clock ETA.
 //	/debug/pprof/...  the standard net/http/pprof profiles.
 //
-// The simulation goroutine publishes one snapshot per telemetry epoch
-// (harness.Spec.Publish -> Registry.Hook) under a short mutex; readers see
+// A run attaches through one handle: the caller registers it with
+// Server.Run or Registry.Run and installs the returned *Run as
+// harness.Spec.Live. harness.Run then publishes one snapshot per telemetry
+// epoch, streams each finalized postmortem bundle and each epoch's
+// tail-exemplar snapshot, and marks the run done with its incidents on
+// every return path. Snapshots are taken under a short mutex; readers see
 // value copies under the same mutex and never touch live simulation state,
 // and event fan-out uses bounded per-subscriber queues that drop-and-count
 // rather than block. The hot loop therefore never waits on a slow client,
 // and cycles/counters/incidents are provably unchanged with the hub on or
-// off (asserted end-to-end by ci.sh's live stage).
+// off (asserted by internal/manifest's TestPlanesAreInert).
 package live
 
 import "strings"

@@ -16,8 +16,8 @@ import (
 	"silcfm/internal/telemetry/live"
 )
 
-// tinySpec is a small SILC-FM run, optionally publishing to a live server.
-func tinySpec(publish func(telemetry.EpochState, health.Status)) harness.Spec {
+// tinySpec is a small SILC-FM run, optionally attached to a live hub.
+func tinySpec(run *live.Run) harness.Spec {
 	m := config.Small()
 	m.Scheme = config.SchemeSILCFM
 	return harness.Spec{
@@ -27,7 +27,7 @@ func tinySpec(publish func(telemetry.EpochState, health.Status)) harness.Spec {
 		FootScaleNum: 1,
 		FootScaleDen: 16,
 		Telemetry:    &telemetry.Config{EpochCycles: 20_000},
-		Publish:      publish,
+		Live:         run,
 	}
 }
 
@@ -53,11 +53,10 @@ func TestServerEndpointsAfterRealRun(t *testing.T) {
 	defer srv.Close()
 
 	const id = "small/milc"
-	res, err := harness.Run(tinySpec(srv.Hook(id)))
+	res, err := harness.Run(tinySpec(srv.Run(id)))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	srv.Done(id, res.Health)
 
 	// /metrics: valid exposition, and the cumulative counters match the
 	// run's final totals (Done comes after the final partial epoch flush,
@@ -125,9 +124,9 @@ func TestServerEndpointsAfterRealRun(t *testing.T) {
 	}
 }
 
-// publishState hands a synthetic epoch snapshot to a hook.
-func publishState(hook func(telemetry.EpochState, health.Status), cycle uint64, open []health.Incident) {
-	hook(telemetry.EpochState{
+// publishState hands a synthetic epoch snapshot to a run's hub handle.
+func publishState(run *live.Run, cycle uint64, open []health.Incident) {
+	run.Publish(telemetry.EpochState{
 		Sample: &telemetry.Sample{Cycle: cycle},
 		Mem:    &stats.Memory{},
 		Lat:    stats.NewPathLatencies(),
@@ -142,9 +141,9 @@ func TestHealthzGoesUnhealthyWhileIncidentOpen(t *testing.T) {
 	}
 	defer srv.Close()
 
-	hook := srv.Hook("stress")
+	run := srv.Run("stress")
 	inc := health.Incident{Kind: health.KindSwapThrash, FirstEpoch: 3, LastEpoch: 5, PeakSeverity: 2.5}
-	publishState(hook, 10_000, []health.Incident{inc})
+	publishState(run, 10_000, []health.Incident{inc})
 
 	code, body := get(t, srv.URL()+"/healthz")
 	if code != http.StatusServiceUnavailable {
@@ -165,14 +164,14 @@ func TestHealthzGoesUnhealthyWhileIncidentOpen(t *testing.T) {
 	}
 
 	// Incident closes on the next epoch: healthy again.
-	publishState(hook, 20_000, nil)
+	publishState(run, 20_000, nil)
 	if code, _ := get(t, srv.URL()+"/healthz"); code != http.StatusOK {
 		t.Errorf("/healthz after incident closed: status %d, want 200", code)
 	}
 
 	// A late publish after Done must not resurrect the run.
-	srv.Done("stress", nil)
-	publishState(hook, 30_000, []health.Incident{inc})
+	run.Done(nil)
+	publishState(run, 30_000, []health.Incident{inc})
 	if code, _ := get(t, srv.URL()+"/healthz"); code != http.StatusOK {
 		t.Errorf("/healthz after Done: status %d, want 200 (late publish ignored)", code)
 	}
@@ -208,7 +207,7 @@ func TestServerDoesNotPerturbSimulation(t *testing.T) {
 		}
 	}()
 
-	with, err := harness.Run(tinySpec(srv.Hook("perturb")))
+	with, err := harness.Run(tinySpec(srv.Run("perturb")))
 	close(stop)
 	if err != nil {
 		t.Fatalf("run with server: %v", err)

@@ -54,10 +54,11 @@ type runState struct {
 }
 
 // Registry is the HTTP-free fleet store at the center of the observability
-// hub: every run registers through Hook, publishes one snapshot per
-// telemetry epoch, and is marked complete with Done. Readers — the HTTP
-// Server, a sweep engine, a job API — take deterministic id-ordered
-// snapshots with Runs and Aggregate, or stream transitions with Subscribe.
+// hub: every run registers through Run, and harness.Run publishes one
+// snapshot per telemetry epoch through the returned handle and marks the
+// run complete with it. Readers — the HTTP Server, a sweep engine, a job
+// API — take deterministic id-ordered snapshots with Runs and Aggregate,
+// or stream transitions with Subscribe.
 //
 // The publish path never blocks: snapshots are value copies taken under a
 // short mutex, and events fan out to subscribers through bounded queues
@@ -111,17 +112,17 @@ type IncidentRef struct {
 	Path string `json:"path"`
 }
 
-// AddBundle stores one finalized postmortem bundle under hub run id run.
-// Called from the simulation goroutine via flightrec.Config.OnBundle; the
-// bundle must be immutable (flight-recorder bundles are). Nil-safe on both
-// receiver and bundle.
-func (g *Registry) AddBundle(run string, b *flightrec.Bundle) {
-	if g == nil || b == nil {
+// AddBundle stores one finalized postmortem bundle under the run. Called
+// from the simulation goroutine; the bundle must be immutable
+// (flight-recorder bundles are). Nil-safe on both receiver and bundle.
+func (r *Run) AddBundle(b *flightrec.Bundle) {
+	if r == nil || b == nil {
 		return
 	}
+	g := r.g
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.bundles = append(g.bundles, bundleEntry{id: g.bundleSeq, run: run, b: b})
+	g.bundles = append(g.bundles, bundleEntry{id: g.bundleSeq, run: r.id, b: b})
 	g.bundleSeq++
 	if len(g.bundles) > maxStoredBundles {
 		over := len(g.bundles) - maxStoredBundles
@@ -173,23 +174,18 @@ func (g *Registry) Bundle(id int) *flightrec.Bundle {
 	return nil
 }
 
-// SetExemplars replaces run id's tail-exemplar snapshot. Called from the
-// simulation goroutine via exemplar.Config.OnSnapshot; the slice must not
-// be mutated afterwards (the recorder's Snapshot builds a fresh one each
-// call). Nil-safe. A run unknown to the registry is created so exemplars
-// survive even when the publish hook was not installed.
-func (g *Registry) SetExemplars(run string, es []exemplar.Exemplar) {
-	if g == nil {
+// SetExemplars replaces the run's tail-exemplar snapshot. Called from the
+// simulation goroutine; the slice must not be mutated afterwards (the
+// recorder's Snapshot builds a fresh one each call). Nil-safe.
+func (r *Run) SetExemplars(es []exemplar.Exemplar) {
+	if r == nil {
 		return
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	rs := g.runs[run]
-	if rs == nil {
-		rs = &runState{id: run, started: time.Now()}
-		g.runs[run] = rs
+	r.g.mu.Lock()
+	defer r.g.mu.Unlock()
+	if rs := r.g.runs[r.id]; rs != nil {
+		rs.exemplars = es
 	}
-	rs.exemplars = es
 }
 
 // ExemplarSet is one run's slice of the /api/exemplars body.
@@ -235,7 +231,7 @@ type RunStatus struct {
 	Pct        float64 `json:"pct"`
 	McycPerSec float64 `json:"mcyc_per_sec"`
 	EtaSeconds float64 `json:"eta_seconds"`
-	// ElapsedSeconds is host wall time since Hook; frozen at Done so a
+	// ElapsedSeconds is host wall time since Run; frozen at Done so a
 	// finished run reports the wall time of the whole run.
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	// AccessRate is the cumulative NM service fraction (paper Eq. 1).
@@ -306,95 +302,118 @@ type Fleet struct {
 	DroppedEvents uint64 `json:"dropped_events"`
 }
 
-// Hook registers run id and returns the per-epoch publish callback to
-// install as harness.Spec.Publish. Re-registering an id (bench reps) resets
-// its snapshot. Nil-safe: a nil registry returns a nil hook, which the
-// harness treats as "no publisher".
-func (g *Registry) Hook(id string) func(telemetry.EpochState, health.Status) {
+// Run is one run's attachment to the hub, installed as harness.Spec.Live:
+// harness.Run publishes each epoch, streams each finalized postmortem
+// bundle and each epoch's tail-exemplar snapshot, and marks the run done
+// through it. Every method is nil-safe, so a run without a hub carries a
+// nil *Run.
+type Run struct {
+	g  *Registry
+	id string
+}
+
+// Run registers run id and returns its hub handle. Re-registering an id
+// (bench reps) resets its snapshot and drops the bundles stored under it,
+// so a repeated run does not list its incidents twice. Nil-safe: a nil
+// registry returns a nil handle.
+func (g *Registry) Run(id string) *Run {
 	if g == nil {
 		return nil
 	}
 	g.mu.Lock()
+	kept := g.bundles[:0]
+	for _, e := range g.bundles {
+		if e.run != id {
+			kept = append(kept, e)
+		}
+	}
+	g.bundles = kept
 	g.runs[id] = &runState{id: id, started: time.Now()}
 	g.emitLocked(Event{Type: EventRunStart, Run: id})
 	g.mu.Unlock()
-	return func(st telemetry.EpochState, hs health.Status) {
-		// Reduce the live state to value copies before taking the lock:
-		// summarizing histograms is the expensive part and needs no mutex
-		// (it runs on the sim goroutine that owns the state).
-		lat := st.Lat.Summaries()
-		gauges := append([]mem.Gauge(nil), st.Sample.Gauges...)
-		memCopy := *st.Mem
-		openCopy := append([]health.Incident(nil), hs.Open...)
-		var dramCopy []DramDeviceStatus
-		if st.Dram != nil {
-			sm := st.Sample
-			dramCopy = []DramDeviceStatus{
-				dramStatus("nm", &st.Dram.NM, sm.RowHitRateNM, sm.BusUtilNM, sm.BankImbalanceNM, sm.RowConflictsNM),
-				dramStatus("fm", &st.Dram.FM, sm.RowHitRateFM, sm.BusUtilFM, sm.BankImbalanceFM, sm.RowConflictsFM),
-			}
-		}
-
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		rs := g.runs[id]
-		if rs == nil || rs.finished {
-			return
-		}
-		rs.cycle = st.Sample.Cycle
-		rs.mem = memCopy
-		rs.gauges = gauges
-		rs.lat = lat
-		rs.queueNM, rs.queueFM = st.Sample.QueueNM, st.Sample.QueueFM
-		rs.peakQueueNM, rs.peakQueueFM = st.Sample.PeakQueueNM, st.Sample.PeakQueueFM
-		rs.done, rs.total = st.Done, st.Total
-		rs.dram = dramCopy
-		rs.open = openCopy
-
-		if len(g.subs) == 0 {
-			return
-		}
-		for i := range hs.Opened {
-			in := hs.Opened[i]
-			g.emitLocked(Event{Type: EventIncidentOpen, Run: id, Incident: &in})
-		}
-		for i := range hs.Closed {
-			in := hs.Closed[i]
-			g.emitLocked(Event{Type: EventIncidentClose, Run: id, Incident: &in})
-		}
-		ep := EpochEvent{
-			Cycle:         st.Sample.Cycle,
-			InstrDone:     st.Done,
-			InstrTotal:    st.Total,
-			Pct:           pct(st.Done, st.Total),
-			AccessRate:    st.Sample.AccessRate,
-			QueueNM:       st.Sample.QueueNM,
-			QueueFM:       st.Sample.QueueFM,
-			PeakQueueNM:   st.Sample.PeakQueueNM,
-			PeakQueueFM:   st.Sample.PeakQueueFM,
-			McycPerSec:    stats.Ratio(float64(rs.cycle), time.Since(rs.started).Seconds()) / 1e6,
-			OpenIncidents: len(openCopy),
-			Dram:          dramCopy,
-		}
-		g.emitLocked(Event{Type: EventEpoch, Run: id, Epoch: &ep})
-	}
+	return &Run{g: g, id: id}
 }
 
-// Done marks run id complete with its final incident list; open incidents
-// clear (the run can no longer be unhealthy), and the last published cycle
-// is frozen into a final elapsed/throughput figure so /progress and
-// /api/runs keep reporting it.
-func (g *Registry) Done(id string, final []health.Incident) {
-	if g == nil {
+// Publish records one epoch's state and health status and streams it to
+// the subscribers. Called on the simulation goroutine at the epoch
+// boundary; st's referenced state is only valid during the call.
+func (r *Run) Publish(st telemetry.EpochState, hs health.Status) {
+	if r == nil {
 		return
 	}
+	g, id := r.g, r.id
+	// Reduce the live state to value copies before taking the lock:
+	// summarizing histograms is the expensive part and needs no mutex
+	// (it runs on the sim goroutine that owns the state).
+	lat := st.Lat.Summaries()
+	gauges := append([]mem.Gauge(nil), st.Sample.Gauges...)
+	memCopy := *st.Mem
+	openCopy := append([]health.Incident(nil), hs.Open...)
+	var dramCopy []DramDeviceStatus
+	if st.Dram != nil {
+		sm := st.Sample
+		dramCopy = []DramDeviceStatus{
+			dramStatus("nm", &st.Dram.NM, sm.RowHitRateNM, sm.BusUtilNM, sm.BankImbalanceNM, sm.RowConflictsNM),
+			dramStatus("fm", &st.Dram.FM, sm.RowHitRateFM, sm.BusUtilFM, sm.BankImbalanceFM, sm.RowConflictsFM),
+		}
+	}
+
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	rs := g.runs[id]
-	if rs == nil {
-		rs = &runState{id: id, started: time.Now()}
-		g.runs[id] = rs
+	if rs == nil || rs.finished {
+		return
 	}
+	rs.cycle = st.Sample.Cycle
+	rs.mem = memCopy
+	rs.gauges = gauges
+	rs.lat = lat
+	rs.queueNM, rs.queueFM = st.Sample.QueueNM, st.Sample.QueueFM
+	rs.peakQueueNM, rs.peakQueueFM = st.Sample.PeakQueueNM, st.Sample.PeakQueueFM
+	rs.done, rs.total = st.Done, st.Total
+	rs.dram = dramCopy
+	rs.open = openCopy
+
+	if len(g.subs) == 0 {
+		return
+	}
+	for i := range hs.Opened {
+		in := hs.Opened[i]
+		g.emitLocked(Event{Type: EventIncidentOpen, Run: id, Incident: &in})
+	}
+	for i := range hs.Closed {
+		in := hs.Closed[i]
+		g.emitLocked(Event{Type: EventIncidentClose, Run: id, Incident: &in})
+	}
+	ep := EpochEvent{
+		Cycle:         st.Sample.Cycle,
+		InstrDone:     st.Done,
+		InstrTotal:    st.Total,
+		Pct:           pct(st.Done, st.Total),
+		AccessRate:    st.Sample.AccessRate,
+		QueueNM:       st.Sample.QueueNM,
+		QueueFM:       st.Sample.QueueFM,
+		PeakQueueNM:   st.Sample.PeakQueueNM,
+		PeakQueueFM:   st.Sample.PeakQueueFM,
+		McycPerSec:    stats.Ratio(float64(rs.cycle), time.Since(rs.started).Seconds()) / 1e6,
+		OpenIncidents: len(openCopy),
+		Dram:          dramCopy,
+	}
+	g.emitLocked(Event{Type: EventEpoch, Run: id, Epoch: &ep})
+}
+
+// Done marks the run complete with its final incident list; open
+// incidents clear (the run can no longer be unhealthy), and the last
+// published cycle is frozen into a final elapsed/throughput figure so
+// /progress and /api/runs keep reporting it.
+func (r *Run) Done(final []health.Incident) {
+	if r == nil {
+		return
+	}
+	g, id := r.g, r.id
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	rs := g.runs[id]
 	if !rs.finished {
 		rs.finalElapsed = time.Since(rs.started).Seconds()
 		rs.finalRate = stats.Ratio(float64(rs.cycle), rs.finalElapsed) / 1e6

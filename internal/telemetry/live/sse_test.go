@@ -40,22 +40,22 @@ func TestEventStreamTransitions(t *testing.T) {
 	sub := reg.Subscribe(64)
 	defer reg.Unsubscribe(sub)
 
-	hook := reg.Hook("cell")
+	run := reg.Run("cell")
 	inc := health.Incident{Kind: health.KindSwapThrash, FirstEpoch: 2}
-	publishState(hook, 10_000, nil)
-	hook(telemetry.EpochState{
+	publishState(run, 10_000, nil)
+	run.Publish(telemetry.EpochState{
 		Sample: &telemetry.Sample{Cycle: 20_000},
 		Mem:    &stats.Memory{},
 		Lat:    stats.NewPathLatencies(),
 		Done:   50, Total: 100,
 	}, health.Status{Open: []health.Incident{inc}, Opened: []health.Incident{inc}})
-	hook(telemetry.EpochState{
+	run.Publish(telemetry.EpochState{
 		Sample: &telemetry.Sample{Cycle: 30_000},
 		Mem:    &stats.Memory{},
 		Lat:    stats.NewPathLatencies(),
 		Done:   100, Total: 100,
 	}, health.Status{Closed: []health.Incident{inc}})
-	reg.Done("cell", []health.Incident{inc})
+	run.Done([]health.Incident{inc})
 
 	evs := drainEvents(sub)
 	var types []string
@@ -93,10 +93,10 @@ func TestEventStreamTransitions(t *testing.T) {
 func TestBoundedQueueDropsAndCounts(t *testing.T) {
 	reg := live.NewRegistry()
 	sub := reg.Subscribe(2) // room for run_start plus one epoch
-	hook := reg.Hook("cell")
+	run := reg.Run("cell")
 	const epochs = 10
 	for i := 1; i <= epochs; i++ {
-		publishState(hook, uint64(i)*10_000, nil)
+		publishState(run, uint64(i)*10_000, nil)
 	}
 	// run_start + 10 epochs offered, 2 buffered: 9 dropped.
 	if got, want := sub.Dropped(), uint64(epochs+1-2); got != want {
@@ -136,7 +136,7 @@ func TestSubscribeAfterCloseIsClosed(t *testing.T) {
 // publishes; meaningful under -race (ci.sh runs the suite with it).
 func TestConcurrentSubscribersRaceClean(t *testing.T) {
 	reg := live.NewRegistry()
-	hook := reg.Hook("cell")
+	run := reg.Run("cell")
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -157,11 +157,11 @@ func TestConcurrentSubscribersRaceClean(t *testing.T) {
 		}()
 	}
 	for i := 1; i <= 200; i++ {
-		publishState(hook, uint64(i)*1000, nil)
+		publishState(run, uint64(i)*1000, nil)
 	}
 	close(done)
 	wg.Wait()
-	reg.Done("cell", nil)
+	run.Done(nil)
 	reg.Close()
 }
 
@@ -183,11 +183,10 @@ func TestManifestUnchangedBySubscribers(t *testing.T) {
 				}
 			}()
 		}
-		res, err := harness.Run(tinySpec(reg.Hook("cell")))
+		res, err := harness.Run(tinySpec(reg.Run("cell")))
 		if err != nil {
 			t.Fatalf("run with %d subscribers: %v", subs, err)
 		}
-		reg.Done("cell", res.Health)
 		reg.Close()
 		wg.Wait()
 		e := manifest.FromResult("cell", res)
@@ -213,8 +212,8 @@ func TestMetricsEscapesHardLabelValues(t *testing.T) {
 		t.Fatalf("live.New: %v", err)
 	}
 	defer srv.Close()
-	hook := srv.Hook(`run"with\specials`)
-	hook(telemetry.EpochState{
+	run := srv.Run(`run"with\specials`)
+	run.Publish(telemetry.EpochState{
 		Sample: &telemetry.Sample{
 			Cycle:  1000,
 			Gauges: []mem.Gauge{{Name: `gauge\name"quoted`, Value: 7}},
@@ -243,8 +242,8 @@ func TestCloseIsGracefulWithSlowClient(t *testing.T) {
 	if err != nil {
 		t.Fatalf("live.New: %v", err)
 	}
-	hook := srv.Hook("cell")
-	publishState(hook, 1000, nil)
+	run := srv.Run("cell")
+	publishState(run, 1000, nil)
 
 	// A slow client: opens the SSE stream and never reads another byte.
 	resp, err := http.Get(srv.URL() + "/events")

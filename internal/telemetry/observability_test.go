@@ -9,6 +9,7 @@ import (
 
 	"silcfm/internal/config"
 	"silcfm/internal/mem"
+	"silcfm/internal/memunits"
 	"silcfm/internal/sim"
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry"
@@ -41,7 +42,7 @@ func (awkwardGauges) Gauges() []mem.Gauge {
 func TestCSVGaugeNameQuoting(t *testing.T) {
 	eng, sys := newBareSystem()
 	var buf bytes.Buffer
-	tel := telemetry.Attach(&telemetry.Config{MetricsW: &buf, MetricsCSV: true}, sys, awkwardGauges{})
+	tel := telemetry.Attach(&telemetry.Config{MetricsW: &buf, MetricsCSV: true}, sys, awkwardGauges{}, nil)
 	if tel == nil {
 		t.Fatal("Attach returned nil")
 	}
@@ -85,7 +86,7 @@ func TestZeroLengthRunEmitsNoSample(t *testing.T) {
 	for _, csv := range []bool{false, true} {
 		_, sys := newBareSystem()
 		var buf bytes.Buffer
-		tel := telemetry.Attach(&telemetry.Config{MetricsW: &buf, MetricsCSV: csv}, sys, nil)
+		tel := telemetry.Attach(&telemetry.Config{MetricsW: &buf, MetricsCSV: csv}, sys, nil, nil)
 		tel.Start()
 		if err := tel.Finish(); err != nil {
 			t.Fatalf("csv=%v: finish: %v", csv, err)
@@ -114,7 +115,7 @@ func TestCSVGaugeDriftZeroFills(t *testing.T) {
 		{Name: "vanishing", Value: 42},
 	}}
 	var buf bytes.Buffer
-	tel := telemetry.Attach(&telemetry.Config{MetricsW: &buf, MetricsCSV: true, EpochCycles: E}, sys, ctl)
+	tel := telemetry.Attach(&telemetry.Config{MetricsW: &buf, MetricsCSV: true, EpochCycles: E}, sys, ctl, nil)
 	tel.Start()
 	eng.RunUntil(E) // first sample fixes the column order: stable, vanishing
 	ctl.gauges = ctl.gauges[:1]
@@ -157,7 +158,7 @@ func TestEpochBoundaryExactMultiple(t *testing.T) {
 	const E = 10_000
 	eng, sys := newBareSystem()
 	var buf bytes.Buffer
-	tel := telemetry.Attach(&telemetry.Config{MetricsW: &buf, EpochCycles: E}, sys, nil)
+	tel := telemetry.Attach(&telemetry.Config{MetricsW: &buf, EpochCycles: E}, sys, nil, nil)
 	tel.Start()
 	// Activity strictly inside each of the three epochs.
 	for i, bump := range []uint64{3, 5, 7} {
@@ -291,15 +292,30 @@ func TestProfileOutputIsDeterministicAndWellFormed(t *testing.T) {
 	}
 }
 
+// TestProfilerBoundsEntries feeds the profiler more distinct blocks and PCs
+// than its maps hold: the first ProfileMaxEntries keys of each stay, and
+// every demand to a later key is counted as dropped, including repeats.
 func TestProfilerBoundsEntries(t *testing.T) {
-	var pb bytes.Buffer
-	r := runTiny(t, false, &telemetry.Config{ProfileW: &pb, ProfileMaxEntries: 8})
-	blocks, pcs, droppedBlocks, _ := r.Profile.Counts()
-	if blocks > 8 || pcs > 8 {
-		t.Errorf("cap violated: %d blocks, %d pcs (max 8)", blocks, pcs)
+	_, sys := newBareSystem()
+	p := telemetry.NewProfiler(sys)
+	const extra = 5
+	n := uint64(telemetry.ProfileMaxEntries + extra)
+	a := &mem.Access{}
+	for i := uint64(0); i < n; i++ {
+		a.PC, a.PAddr = i, i*memunits.BlockSize
+		p.Observe(mem.Event{Kind: mem.EvComplete, Access: a, Path: stats.PathFM, Lat: 100})
 	}
-	if droppedBlocks == 0 {
-		t.Error("expected dropped block keys at cap 8")
+	// Repeats: an admitted key is counted, a refused one drops again.
+	a.PC, a.PAddr = 0, 0
+	p.Observe(mem.Event{Kind: mem.EvComplete, Access: a, Path: stats.PathFM, Lat: 100})
+	a.PC, a.PAddr = n-1, (n-1)*memunits.BlockSize
+	p.Observe(mem.Event{Kind: mem.EvComplete, Access: a, Path: stats.PathFM, Lat: 100})
+	blocks, pcs, droppedBlocks, droppedPCs := p.Counts()
+	if blocks != telemetry.ProfileMaxEntries || pcs != telemetry.ProfileMaxEntries {
+		t.Errorf("maps hold %d blocks, %d pcs, want %d each", blocks, pcs, telemetry.ProfileMaxEntries)
+	}
+	if droppedBlocks != extra+1 || droppedPCs != extra+1 {
+		t.Errorf("dropped %d block and %d PC demands, want %d each", droppedBlocks, droppedPCs, extra+1)
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 	"silcfm/internal/stats"
 )
 
-// DefaultProfileMaxEntries bounds each profile map (blocks, PCs) when
-// Config.ProfileMaxEntries is zero. New keys arriving at the cap are counted
-// as dropped rather than evicting old ones, so the set of profiled keys is a
-// deterministic function of the access stream.
-const DefaultProfileMaxEntries = 1 << 15
+// profileMaxEntries bounds each profile map (blocks, PCs). New keys
+// arriving at the cap are counted as dropped rather than evicting old ones,
+// so the set of profiled keys is a deterministic function of the access
+// stream.
+const profileMaxEntries = 1 << 15
 
 // BlockProfile aggregates activity for one flat 2 KB block: demand traffic
 // (counted at completion, so latencies are final), subblock swap churn,
@@ -61,21 +61,16 @@ type PCProfile struct {
 type Profiler struct {
 	nmBlocks uint64 // NM capacity in 2 KB blocks; FM home block b lives at flat block nmBlocks+b
 
-	max     int
 	blocks  map[uint64]*BlockProfile
 	pcs     map[uint64]*PCProfile
 	dropped [2]uint64 // [0] block keys, [1] PC keys rejected at the cap
 }
 
 // NewProfiler builds a profiler over sys's geometry holding at most
-// maxEntries blocks and maxEntries PCs (<=0 selects the default).
-func NewProfiler(sys *mem.System, maxEntries int) *Profiler {
-	if maxEntries <= 0 {
-		maxEntries = DefaultProfileMaxEntries
-	}
+// profileMaxEntries blocks and profileMaxEntries PCs.
+func NewProfiler(sys *mem.System) *Profiler {
 	return &Profiler{
 		nmBlocks: memunits.BlocksIn(sys.NMCap),
-		max:      maxEntries,
 		blocks:   make(map[uint64]*BlockProfile),
 		pcs:      make(map[uint64]*PCProfile),
 	}
@@ -86,7 +81,7 @@ func (p *Profiler) block(b uint64) *BlockProfile {
 	if bp, ok := p.blocks[b]; ok {
 		return bp
 	}
-	if len(p.blocks) >= p.max {
+	if len(p.blocks) >= profileMaxEntries {
 		p.dropped[0]++
 		return nil
 	}
@@ -100,7 +95,7 @@ func (p *Profiler) pc(v uint64) *PCProfile {
 	if pp, ok := p.pcs[v]; ok {
 		return pp
 	}
-	if len(p.pcs) >= p.max {
+	if len(p.pcs) >= profileMaxEntries {
 		p.dropped[1]++
 		return nil
 	}

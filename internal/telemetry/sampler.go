@@ -90,7 +90,7 @@ type DramEpoch struct {
 }
 
 // sampler snapshots counters each epoch and streams deltas. w may be nil
-// when samples are only consumed in memory (Config.OnEpoch).
+// when samples are only consumed in memory (Attach's epoch sink).
 type sampler struct {
 	w   io.Writer
 	csv bool
@@ -166,7 +166,7 @@ func (s *sampler) dramDelta(lv int, dev *dram.Device, span uint64) (conflicts ui
 }
 
 // sample emits one epoch row at the current cycle and returns it for
-// in-memory consumers (Config.OnEpoch).
+// in-memory consumers (Attach's epoch sink).
 func (s *sampler) sample() (*Sample, error) {
 	now := s.sys.Eng.Now()
 	cur := *s.sys.Stats

@@ -47,18 +47,9 @@ type Config struct {
 	// Profile collects the hotness profile without writing it (for callers
 	// that only render TopOffenders); implied by ProfileW != nil.
 	Profile bool
-	// ProfileMaxEntries bounds each profile map (default 1<<15 blocks and
-	// 1<<15 PCs; new keys past the cap are counted as dropped).
-	ProfileMaxEntries int
-	// OnEpoch, when non-nil, receives every epoch sample in memory — the
-	// feed for the health detector (internal/health) and the live
-	// observability server (internal/telemetry/live). It runs on the
-	// simulation goroutine at the epoch boundary; the referenced state is
-	// only valid for the duration of the call (copy, don't retain).
-	OnEpoch func(EpochState)
 }
 
-// EpochState is one epoch-boundary snapshot handed to Config.OnEpoch.
+// EpochState is one epoch-boundary snapshot handed to Attach's epoch sink.
 // Sample holds this epoch's deltas; Mem and Lat point at the live
 // cumulative state, valid only during the callback.
 type EpochState struct {
@@ -94,6 +85,8 @@ type T struct {
 	sampler *sampler
 	tracer  *Tracer
 	prof    *Profiler
+	// onEpoch receives every epoch sample in memory (see Attach).
+	onEpoch func(EpochState)
 	// progress reports retired and target instructions across cores.
 	progress func() (done, total uint64)
 	// wallStart anchors the ETA / Mcyc-per-second figures in the progress
@@ -104,20 +97,29 @@ type T struct {
 
 // Attach wires telemetry onto a system before the simulation starts. ctl is
 // the raw (unwrapped) controller; if it implements mem.GaugeProvider its
-// gauges ride along in every sample. Returns nil when cfg requests nothing.
-func Attach(cfg *Config, sys *mem.System, ctl mem.Controller) *T {
-	if cfg == nil || (cfg.MetricsW == nil && cfg.TraceW == nil && cfg.ProgressW == nil &&
-		cfg.ProfileW == nil && !cfg.Profile && cfg.OnEpoch == nil) {
+// gauges ride along in every sample. onEpoch, when non-nil, receives every
+// epoch sample in memory — the feed harness.Run fans out to the health
+// detector, the flight and exemplar recorders and the live hub. It runs on
+// the simulation goroutine at the epoch boundary; the referenced state is
+// only valid for the duration of the call (copy, don't retain). A nil cfg
+// requests no outputs. Returns nil when neither cfg nor onEpoch requests
+// anything.
+func Attach(cfg *Config, sys *mem.System, ctl mem.Controller, onEpoch func(EpochState)) *T {
+	if cfg == nil {
+		cfg = &Config{}
+	}
+	if cfg.MetricsW == nil && cfg.TraceW == nil && cfg.ProgressW == nil &&
+		cfg.ProfileW == nil && !cfg.Profile && onEpoch == nil {
 		return nil
 	}
-	t := &T{cfg: *cfg, sys: sys}
+	t := &T{cfg: *cfg, sys: sys, onEpoch: onEpoch}
 	if t.cfg.EpochCycles == 0 {
 		t.cfg.EpochCycles = DefaultEpochCycles
 	}
 	if t.cfg.TraceLimit <= 0 {
 		t.cfg.TraceLimit = DefaultTraceLimit
 	}
-	if t.cfg.MetricsW != nil || t.cfg.OnEpoch != nil {
+	if t.cfg.MetricsW != nil || onEpoch != nil {
 		gp, _ := ctl.(mem.GaugeProvider)
 		t.sampler = newSampler(t.cfg.MetricsW, t.cfg.MetricsCSV, sys, gp)
 	}
@@ -126,7 +128,7 @@ func Attach(cfg *Config, sys *mem.System, ctl mem.Controller) *T {
 		sys.AttachObserver(t.tracer)
 	}
 	if t.cfg.ProfileW != nil || t.cfg.Profile {
-		t.prof = NewProfiler(sys, t.cfg.ProfileMaxEntries)
+		t.prof = NewProfiler(sys)
 		sys.AttachObserver(t.prof)
 	}
 	return t
@@ -193,7 +195,7 @@ func (t *T) tick() {
 	}
 }
 
-// epochSample takes one sampler reading and feeds OnEpoch.
+// epochSample takes one sampler reading and feeds the epoch sink.
 func (t *T) epochSample() {
 	if t.sampler == nil || t.err != nil {
 		return
@@ -206,16 +208,16 @@ func (t *T) epochSample() {
 	t.emit(sm)
 }
 
-// emit hands one fresh sample to the OnEpoch consumer.
+// emit hands one fresh sample to the epoch sink.
 func (t *T) emit(sm *Sample) {
-	if sm == nil || t.cfg.OnEpoch == nil {
+	if sm == nil || t.onEpoch == nil {
 		return
 	}
 	st := EpochState{Sample: sm, Mem: t.sys.Stats, Lat: t.sys.Lat, Attr: t.sys.Attr, Dram: &t.sampler.dram}
 	if t.progress != nil {
 		st.Done, st.Total = t.progress()
 	}
-	t.cfg.OnEpoch(st)
+	t.onEpoch(st)
 }
 
 // wallNote renders the host-side rate and ETA suffix of a progress line

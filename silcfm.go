@@ -455,33 +455,14 @@ func runResult(o Options) (*harness.Result, error) {
 		return nil, err
 	}
 	spec.Telemetry = tcfg
-	var res *harness.Result
 	if o.Live != nil {
 		id := o.RunID
 		if id == "" {
 			id = string(m.Scheme) + "/" + wl
 		}
-		spec.Publish = o.Live.Hook(id)
-		// Stream finalized bundles into the hub's incident store as they
-		// are emitted, and each epoch's tail-exemplar snapshot into its
-		// exemplar store; both are immutable once built, so sharing them
-		// across goroutines is race-free.
-		hub := o.Live
-		spec.Flightrec = &flightrec.Config{
-			OnBundle: func(b *flightrec.Bundle) { hub.AddBundle(id, b) },
-		}
-		spec.Exemplars = &exemplar.Config{
-			OnSnapshot: func(es []exemplar.Exemplar) { hub.SetExemplars(id, es) },
-		}
-		defer func() {
-			var final []health.Incident
-			if res != nil {
-				final = res.Health
-			}
-			o.Live.Done(id, final)
-		}()
+		spec.Live = o.Live.Run(id)
 	}
-	res, err = harness.Run(spec)
+	res, err := harness.Run(spec)
 	if cerr := cleanup(); err == nil && cerr != nil {
 		err = fmt.Errorf("silcfm: telemetry output: %w", cerr)
 	}
@@ -503,14 +484,8 @@ func runResult(o Options) (*harness.Result, error) {
 			return nil, eerr
 		}
 	}
-	if res.AuditErr != nil {
-		return nil, fmt.Errorf("silcfm: data-integrity audit failed: %w", res.AuditErr)
-	}
-	if res.ShadowErr != nil {
-		return nil, fmt.Errorf("silcfm: shadow integrity check failed: %w", res.ShadowErr)
-	}
-	if res.ConservationErr != nil {
-		return nil, fmt.Errorf("silcfm: counter-conservation audit failed: %w", res.ConservationErr)
+	if err := res.Err(); err != nil {
+		return nil, fmt.Errorf("silcfm: %w", err)
 	}
 	return res, nil
 }
